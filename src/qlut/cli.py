@@ -10,18 +10,21 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import costs
 from .builders import build_lookup
-from .errors import ConfigError, QlutError
-from .ir import export_gate_list
-from .layout import build_schedule, classify_links, place_htree
+from .errors import ConfigError, InvalidParamsError, QlutError
+from .ir import Circuit, export_gate_list
+from .layout import (
+    GridPlacement, LongRangeLink, build_schedule, classify_links, place_htree,
+)
 from .params import (
-    ArchParams, ErrorRates, Readout, arch_params_from_json, arch_params_to_json,
-    error_rates_from_json, error_rates_to_json, specialization,
+    ArchParams, DataTable, ErrorRates, Readout, arch_params_from_json,
+    arch_params_to_json, error_rates_from_json, error_rates_to_json, specialization,
 )
 from .resources import count_resources
-from .simulator import monte_carlo_infidelity, trial_outcome_ok
+from .simulator import TrialResult, monte_carlo_infidelity, trial_outcome_ok
 
 _K_RULES = {
     "Zero": 0.0,
@@ -81,14 +84,9 @@ def _cell_values(spec: SweepSpec, df: float, pf: float) -> list[float] | None:
         d = df * n
         dp = pf * n
         if spec.metric == "InfidelityExponent":
-            terms = costs._general_terms(n, d, dp)
-            del terms["eps_l"]
-            terms.update(costs._budgeted_terms(n, d, dp, k_frac * dp))
-            rates = spec.rates
-            v = sum(coeff * (getattr(rates, key) if getattr(rates, key) is not None else 0.0)
-                    for key, coeff in terms.items())
+            v = costs.budgeted_infidelity_at(n, d, dp, k_frac * dp, spec.rates).total
         elif spec.metric == "TCountExponent":
-            v = costs._t_count_value(n, d, dp, 1.0, Readout.SINGLE_BIT)
+            v = costs.t_count_at(n, d, dp, 1.0, Readout.SINGLE_BIT)
         elif spec.metric == "QubitExponent":
             v = d + 2.0 ** (n - d)
         else:
@@ -157,8 +155,20 @@ def _load_config(path: str) -> dict:
             f"malformed JSON in {path} at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _instance_from_config(obj: dict) -> tuple[ArchParams, ErrorRates, "object"]:
-    from .params import DataTable
+class _Instance(NamedTuple):
+    """One config built once: every subcommand analyses this same instance."""
+    params: ArchParams
+    rates: ErrorRates
+    circuit: Circuit
+    placement: GridPlacement | None    # None unless a single-word tree circuit
+    links: list[LongRangeLink]
+    by_gate: dict[int, LongRangeLink]
+
+
+def _build_instance(path: str) -> _Instance:
+    """Load a config, build its circuit and, for the single-word tree
+    circuits the planar layout covers, place it and classify its links."""
+    obj = _load_config(path)
     try:
         params = arch_params_from_json(obj["params"])
     except KeyError as exc:
@@ -170,21 +180,34 @@ def _instance_from_config(obj: dict) -> tuple[ArchParams, ErrorRates, "object"]:
         # deterministic default table so reports are reproducible
         words = tuple((a * 2654435761 >> 7) % (1 << params.b) for a in range(params.N))
         table = DataTable(words=words, b=params.b)
-    return params, rates, table
+    circuit = build_lookup(params, table)
+    placement, links, by_gate = None, [], {}
+    if circuit.meta.get("family") == "tree":
+        placement = place_htree(circuit)
+        links, by_gate = classify_links(circuit, placement)
+    return _Instance(params, rates, circuit, placement, links, by_gate)
+
+
+def _write(path: str, text: str) -> None:
+    """Write one output file; an unwritable path is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def cmd_report(args) -> None:
-    obj = _load_config(args.config)
-    params, rates, table = _instance_from_config(obj)
+    inst = _build_instance(args.config)
+    params, rates, circuit = inst.params, inst.rates, inst.circuit
     report: dict = {
         "params": arch_params_to_json(params),
         "rates": error_rates_to_json(rates),
@@ -200,40 +223,39 @@ def cmd_report(args) -> None:
         report["infidelity"] = costs.general_infidelity(params, rates).to_json()
     else:
         report["infidelity"] = costs.multi_bit_infidelity(params, rates).to_json()
-    circuit = build_lookup(params, table)
     report["exactCounts"] = count_resources(circuit, args.decomposition).to_json()
-    if circuit.meta.get("family") == "tree":
-        placement = place_htree(circuit)
-        links, by_gate = classify_links(circuit, placement)
-        schedule = build_schedule(circuit, placement, by_gate,
+    if inst.placement is not None:
+        schedule = build_schedule(circuit, inst.placement, inst.by_gate,
                                   include_distillation_depth=args.include_distillation_depth)
         report["layout"] = {
-            "bounds": list(placement.bounds),
-            "area": placement.area,
-            "longRangeLinks": len(links),
-            "maxLinkLength": max((l.m for l in links), default=0),
+            "bounds": list(inst.placement.bounds),
+            "area": inst.placement.area,
+            "longRangeLinks": len(inst.links),
+            "maxLinkLength": max((l.m for l in inst.links), default=0),
             "scheduleDepth": schedule.total_depth,
         }
     if params.N <= _SIM_VERDICT_CAP:
         ok = all(trial_outcome_ok(circuit, a, None) for a in range(params.N))
         report["simulatedCorrect"] = bool(ok)
         if args.trials:
-            mc = monte_carlo_infidelity(circuit, rates, args.trials, args.seed)
-            report["monteCarlo"] = mc
+            report["monteCarlo"] = monte_carlo_infidelity(
+                circuit, rates, args.trials, args.seed, link_by_gate=inst.by_gate)
     _emit(report, args.out)
 
 
 def cmd_sweep(args) -> None:
     obj = _load_config(args.config)
     rules = obj.get("kRules", list(_K_RULES))
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create {args.out}: {exc}") from exc
     summary = {}
     for rule in rules:
         spec = SweepSpec.from_json({**obj, "kRule": rule})
         table = sweep_exponent_table(spec)
         name = f"sweep_{spec.metric}_{rule}"
-        with open(os.path.join(args.out, name + ".csv"), "w", encoding="utf-8") as fh:
-            fh.write(sweep_table_csv(table))
+        _write(os.path.join(args.out, name + ".csv"), sweep_table_csv(table))
         summary[rule] = {
             f"{df}/{pf}": table["cells"][(df, pf)]
             for df in table["dFractions"] for pf in table["dPrimeFractions"]
@@ -243,35 +265,21 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_export_gates(args) -> None:
-    obj = _load_config(args.config)
-    params, rates, table = _instance_from_config(obj)
-    circuit = build_lookup(params, table)
-    by_gate = None
-    if circuit.meta.get("family") == "tree":
-        placement = place_htree(circuit)
-        _, by_gate = classify_links(circuit, placement)
-    text = export_gate_list(circuit, by_gate)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {args.out}: {exc}") from exc
+    inst = _build_instance(args.config)
+    _write(args.out, export_gate_list(inst.circuit, inst.by_gate))
 
 
 def cmd_export_layout(args) -> None:
-    obj = _load_config(args.config)
-    params, rates, table = _instance_from_config(obj)
-    circuit = build_lookup(params, table)
-    placement = place_htree(circuit)
-    links, _ = classify_links(circuit, placement)
-    base = args.out
-    with open(base + ".json", "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(placement.to_json(), sort_keys=True, indent=2) + "\n")
-    with open(base + "_links.csv", "w", encoding="utf-8") as fh:
-        fh.write("source,target,m,level,resource\n")
-        for link in links:
-            lvl = "" if link.level is None else str(link.level)
-            fh.write(f"{link.source},{link.target},{link.m},{lvl},{link.resource}\n")
+    inst = _build_instance(args.config)
+    placement = inst.placement
+    if placement is None:
+        raise InvalidParamsError(
+            "export-layout places single-word tree circuits; the config has "
+            f"b={inst.params.b}, readout={inst.params.readout.value}")
+    csv = ["source,target,m,level,resource\n"]
+    for link in inst.links:
+        lvl = "" if link.level is None else str(link.level)
+        csv.append(f"{link.source},{link.target},{link.m},{lvl},{link.resource}\n")
     width, height = placement.bounds
     grid = [["." for _ in range(width)] for _ in range(height)]
     for q, (r, c) in placement.coords.items():
@@ -279,30 +287,26 @@ def cmd_export_layout(args) -> None:
     for (r, c) in placement.reserved:
         grid[r][c] = "~"
     rows = ["".join(row) for row in reversed(grid)]
-    with open(base + ".txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
+    base = args.out
+    _write(base + ".json", json.dumps(placement.to_json(), sort_keys=True, indent=2) + "\n")
+    _write(base + "_links.csv", "".join(csv))
+    _write(base + ".txt", "\n".join(rows) + "\n")
 
 
 def cmd_simulate(args) -> None:
-    obj = _load_config(args.config)
-    params, rates, table = _instance_from_config(obj)
-    circuit = build_lookup(params, table)
-    by_gate = None
-    if circuit.meta.get("family") == "tree":
-        placement = place_htree(circuit)
-        _, by_gate = classify_links(circuit, placement)
-    result = monte_carlo_infidelity(circuit, rates, args.trials, args.seed,
-                                    link_by_gate=by_gate)
+    inst = _build_instance(args.config)
+    log: list[str] = []
+
+    def log_trial(t: int, r: TrialResult) -> None:
+        log.append(json.dumps({
+            "trial": t, "address": r.address, "ok": r.ok,
+            "events": [e.to_json() for e in r.events]}, sort_keys=True) + "\n")
+
+    result = monte_carlo_infidelity(inst.circuit, inst.rates, args.trials, args.seed,
+                                    link_by_gate=inst.by_gate,
+                                    on_trial=log_trial if args.log else None)
     if args.log:
-        from .simulator import build_location_table, inject_and_simulate
-        locations = build_location_table(circuit, rates, by_gate)
-        with open(args.log, "w", encoding="utf-8") as fh:
-            for t in range(args.trials):
-                r = inject_and_simulate(circuit, rates, args.seed, t,
-                                        locations=locations)
-                fh.write(json.dumps({
-                    "trial": t, "address": r.address, "ok": r.ok,
-                    "events": [e.to_json() for e in r.events]}, sort_keys=True) + "\n")
+        _write(args.log, "".join(log))
     _emit(result, args.out)
 
 

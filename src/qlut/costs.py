@@ -17,13 +17,6 @@ import numpy as np
 from .errors import DegenerateInputError, InvalidParamsError, KOutOfRangeError
 from .params import ArchParams, ErrorRates, Readout
 
-_RATE_ATTRS = {
-    "eps_l": "eps_l", "eps_s": "eps_s", "eps_i": "eps_i",
-    "eps_c": "eps_c", "eps_cc": "eps_cc", "eps_cs": "eps_cs",
-    "eps_q": "eps_q",
-}
-
-
 @dataclass
 class FidelityBreakdown:
     """Per-error-type coefficients and the first-order infidelity total."""
@@ -54,10 +47,8 @@ def _log2(x: float) -> float:
 
 
 def _effective_eps_l(rates: ErrorRates, lam: float) -> float:
-    # theorem-level eps_L: explicit if given, else a distilled link spanning
-    # the lambda-sized tree footprint
-    if rates.eps_l is not None:
-        return rates.eps_l
+    # theorem-level eps_L: a distilled link spanning the lambda-sized tree
+    # footprint (explicit eps_l wins, as for every link)
     return rates.long_range(max(1, math.isqrt(int(max(lam, 1)))))
 
 
@@ -103,8 +94,7 @@ def bucket_brigade_infidelity(N: int, rates: ErrorRates) -> FidelityBreakdown:
     p_s = 2 * T
     p_cs = T * (T + 1)                  # sum of 2l
     p_i = T ** 3                        # polylog idle envelope (modeled)
-    eps_l = rates.eps_l if rates.eps_l is not None else rates.long_range(
-        max(1, math.isqrt(N)))
+    eps_l = _effective_eps_l(rates, N)
     terms = {"eps_l": float(p_l), "eps_s": float(p_s),
              "eps_cs": float(p_cs), "eps_i": float(p_i)}
     used = {"eps_l": eps_l, "eps_s": rates.eps_s,
@@ -165,9 +155,15 @@ def budgeted_infidelity(params: ArchParams, rates: ErrorRates,
     """
     if k is None:
         k = params.k
-    n, d, dp = params.n, params.d, params.d_prime
+    n, d = params.n, params.d
     if not 0 <= k <= n - d:
         raise KOutOfRangeError(f"k must lie in [0, n-d] = [0, {n - d}], got {k}")
+    return budgeted_infidelity_at(n, d, params.d_prime, k, rates)
+
+
+def budgeted_infidelity_at(n: float, d: float, dp: float, k: float,
+                           rates: ErrorRates) -> FidelityBreakdown:
+    """:func:`budgeted_infidelity` on real exponents (n, d, d') and budget k."""
     terms = _general_terms(n, d, dp)
     del terms["eps_l"]
     terms.update(_budgeted_terms(n, d, dp, k))
@@ -192,7 +188,8 @@ def budgeted_bucket_brigade(N: int, rates: ErrorRates, k: float) -> FidelityBrea
     return FidelityBreakdown(terms=terms, rates=used)
 
 
-def _t_count_value(n: float, d: float, dp: float, b: float, readout: Readout) -> float:
+def t_count_at(n: float, d: float, dp: float, b: float, readout: Readout) -> float:
+    """Leading-term T count on real exponents (n, d, d') and word size b."""
     if readout == Readout.PARALLEL and b > 1:
         return 2.0 ** d * (d + b * 2.0 ** dp) + b * 2.0 ** (n - d)
     extra = b if readout == Readout.SEQUENTIAL else 1.0
@@ -201,7 +198,7 @@ def _t_count_value(n: float, d: float, dp: float, b: float, readout: Readout) ->
 
 def t_count_formula(params: ArchParams) -> float:
     """Leading-term T count with unit constants."""
-    return _t_count_value(params.n, params.d, params.d_prime, params.b, params.readout)
+    return t_count_at(params.n, params.d, params.d_prime, params.b, params.readout)
 
 
 def qubit_count_formula(params: ArchParams) -> float:

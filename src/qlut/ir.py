@@ -25,8 +25,6 @@ class Role(str, Enum):
     CNOT_NODE = "CnotTreeNode"
     BUS = "Bus"
     INPUT = "Input"
-    GHZ_ANCILLA = "GhzAncilla"
-    BELL_ANCILLA = "BellAncilla"
 
 
 class GateKind(str, Enum):
@@ -38,7 +36,6 @@ class GateKind(str, Enum):
     CSWAP = "CSWAP"
     CCNOT = "CCNOT"
     CC_X = "ClassicallyControlledX"
-    RESET = "Reset"
     LR_CNOT = "LongRangeCNOT"
     LR_SWAP = "LongRangeSWAP"
 

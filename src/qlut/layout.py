@@ -354,15 +354,19 @@ def level_pitches(circuit: Circuit, placement: GridPlacement) -> dict[int, list[
     return pitches
 
 
-def long_range_error(link: LongRangeLink, rates: ErrorRates,
-                     distillation_enabled: bool = True) -> float:
-    """Per-operation failure probability of a long-range gate."""
+def long_range_error(link: LongRangeLink, rates: ErrorRates) -> float:
+    """Per-operation failure probability of a long-range gate.
+
+    The one place a link's resource picks its error: a budgeted link is
+    free, an explicit eps_l applies to every other link, a GHZ chain fails
+    with min(m * eps_q, 1) and a distilled Bell pair as
+    :meth:`ErrorRates.long_range`.
+    """
     if link.resource == LinkResource.FREE.value:
         return 0.0
-    ghz = min(link.m * rates.eps_q, 1.0)
-    if distillation_enabled and link.resource == LinkResource.DISTILLED.value:
-        return min(ghz, rates.eps_f)
-    return ghz
+    if link.resource == LinkResource.GHZ.value and rates.eps_l is None:
+        return min(link.m * rates.eps_q, 1.0)
+    return rates.long_range(link.m)
 
 
 @dataclass(frozen=True)
@@ -400,7 +404,6 @@ class Schedule:
     idle: dict[int, int]                  # qubit id -> idle steps
     tau: dict[int, int]                   # tree level -> address-setting duration
     level_crossings: dict[int, int]       # parent level -> Stage-I inter-level SWAPs
-    start: dict[int, int] = field(default_factory=dict)   # gate index -> start time
 
     @property
     def idle_total(self) -> int:
@@ -428,7 +431,6 @@ def build_schedule(
     avail: dict[int, int] = {}
     first: dict[int, int] = {}
     busy: dict[int, int] = {}
-    start: dict[int, int] = {}
     status_role = {q for q, info in enumerate(circuit.qubits)
                    if info.role == Role.ROUTER_STATUS}
     addr = set(circuit.reg("address"))
@@ -450,7 +452,6 @@ def build_schedule(
             dur = max(1, math.ceil(math.log2(max(2, link_by_gate[idx].m))))
         t0 = max((avail.get(q, 0) for q in g.qubits), default=0)
         t1 = t0 + dur
-        start[idx] = t0
         total = max(total, t1)
         for q in g.qubits:
             avail[q] = t1
@@ -468,4 +469,4 @@ def build_schedule(
     idle = {q: (avail[q] - first[q]) - busy[q] for q in avail}
     idle = {q: v for q, v in idle.items() if v > 0}
     return Schedule(total_depth=total, idle=idle, tau=tau,
-                    level_crossings=crossings, start=start)
+                    level_crossings=crossings)

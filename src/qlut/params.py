@@ -6,7 +6,7 @@ trees of size gamma, with d = log2(N/lambda) and d' = log2(lambda/gamma).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import KOutOfRangeError, NonPowerOfTwoError, OrderingViolationError
@@ -59,9 +59,6 @@ class ArchParams:
         """Depth of the routing tree used in Stage III: log2(lambda)."""
         return self.n - self.d
 
-    def with_readout(self, readout: Readout) -> "ArchParams":
-        return replace(self, readout=readout)
-
 
 def derive_params(
     N: int,
@@ -113,7 +110,7 @@ class ErrorRates:
     """Per-location error probabilities (see the fine-grained error table).
 
     eps_l may be None, in which case long-range errors are derived per link
-    as min(m * eps_q, eps_f).
+    from its length and resource (:func:`qlut.layout.long_range_error`).
     """
 
     eps_i: float = 0.0       # idling, per qubit per idle step
@@ -136,7 +133,11 @@ class ErrorRates:
             raise OrderingViolationError(f"eps_l must be in [0, 1], got {self.eps_l}")
 
     def long_range(self, m: int) -> float:
-        """Effective long-range error for a length-m operation."""
+        """Error of a length-m operation over a distilled Bell pair.
+
+        eps_l when given, else min(m * eps_q, eps_f); with no distillation
+        residual (eps_f = 0) the bare GHZ-chain value min(m * eps_q, 1).
+        """
         if self.eps_l is not None:
             return self.eps_l
         return min(m * self.eps_q, self.eps_f) if self.eps_f > 0 else min(m * self.eps_q, 1.0)

@@ -13,12 +13,14 @@ Two engines back the analyses:
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidParamsError, TooManyQubitsError
 from .ir import Circuit, GateKind
+from .layout import LongRangeLink, long_range_error
 from .params import ErrorRates, address_bits
 
 DEFAULT_QUBIT_CAP = 24
@@ -113,8 +115,6 @@ def run_basis(
             bits ^= 1 << qs[0]
         elif k == GateKind.Z:
             phase = (phase + 2 * ((bits >> qs[0]) & 1)) % 4
-        elif k == GateKind.RESET:
-            bits &= ~(1 << qs[0])
         else:
             raise InvalidParamsError(f"basis engine cannot apply {k}")
     if events and len(gates) in events:
@@ -232,13 +232,6 @@ def state_overlap(a: np.ndarray, b: np.ndarray) -> float:
     return abs(np.vdot(a, b)) ** 2
 
 
-def dense_from_sparse(circuit: Circuit, amplitudes: dict[int, complex]) -> np.ndarray:
-    state = np.zeros(1 << circuit.n_qubits, dtype=complex)
-    for bits, amp in amplitudes.items():
-        state[bits] += amp
-    return state
-
-
 # -- error locations -----------------------------------------------------------
 
 _GATE_RATE_KEY = {
@@ -299,21 +292,20 @@ def circuit_idle_windows(circuit: Circuit) -> dict[int, list[int]]:
 def build_location_table(
     circuit: Circuit,
     rates: ErrorRates,
-    link_by_gate: dict[int, "object"] | None = None,
+    link_by_gate: dict[int, LongRangeLink] | None = None,
     idle_windows: dict[int, list[int]] | None = None,
 ) -> list[Location]:
     """All fault sites with their firing rates.
 
-    Long-range-flagged gates draw from eps_L (lumped link model) instead of
-    their local gate rate; a firing link hits one endpoint. Zero-rate sites
-    are dropped.
+    Long-range-flagged gates draw from their link's error
+    (:func:`layout.long_range_error`) instead of their local gate rate; a
+    firing link hits one endpoint. Zero-rate sites are dropped.
     """
     locs: list[Location] = []
     link_by_gate = link_by_gate or {}
     for idx, g in enumerate(circuit.gates):
         if idx in link_by_gate:
-            link = link_by_gate[idx]
-            rate = 0.0 if link.resource == "FreeBudget" else rates.long_range(link.m)
+            rate = long_range_error(link_by_gate[idx], rates)
             if rate > 0:
                 locs.append(Location(idx, g.qubits, "eps_l", rate, idx))
             continue
@@ -413,8 +405,12 @@ def monte_carlo_infidelity(
     link_by_gate: dict | None = None,
     idle_windows: dict | None = None,
     address: int | None = None,
+    on_trial: Callable[[int, TrialResult], None] | None = None,
 ) -> dict:
-    """Mean failure rate over basis-address queries with binomial stderr."""
+    """Mean failure rate over basis-address queries with binomial stderr.
+
+    ``on_trial(t, result)`` sees every trial as it finishes, e.g. to log it.
+    """
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
     locations = build_location_table(circuit, rates, link_by_gate, idle_windows)
@@ -423,6 +419,8 @@ def monte_carlo_infidelity(
         r = inject_and_simulate(circuit, rates, seed, t, address=address,
                                 locations=locations)
         failures += 0 if r.ok else 1
+        if on_trial is not None:
+            on_trial(t, r)
     p = failures / trials
     stderr = float(np.sqrt(p * (1.0 - p) / trials))
     return {"infidelity": p, "stderr": stderr, "trials": trials, "failures": failures}

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from qlut import simulator
 from qlut.cli import main, parse_sweep_csv, sweep_table_csv, sweep_exponent_table, SweepSpec
 
 GOLDEN = Path(__file__).parent / "fixtures" / "n2_gates_golden.txt"
@@ -73,11 +76,32 @@ def test_export_gates_annotates_long_range(tmp_path):
         assert line.startswith("LAYER ") and " STAGE " in line
 
 
-def test_export_gates_unwritable_path(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["report", "--out", "{missing}/r.json"],
+    ["simulate", "--trials", "5", "--out", "{missing}/s.json"],
+    ["simulate", "--trials", "5", "--log", "{missing}/trials.jsonl"],
+    ["export-gates", "--out", "{missing}/gates.txt"],
+    ["export-layout", "--out", "{missing}/layout"],
+    ["sweep", "--out", "{file}/sweep"],
+], ids=["report", "simulate-out", "simulate-log", "export-gates", "export-layout", "sweep"])
+def test_unwritable_path_exits_2(tmp_path, capsys, argv):
+    # sweep creates its output directory, so it is blocked by a plain file
     cfg = _write_config(tmp_path)
-    rc = main(["export-gates", "--config", cfg,
-               "--out", str(tmp_path / "missing_dir" / "gates.txt")])
-    assert rc == 2
+    if argv[0] == "sweep":
+        cfg = str(tmp_path / "sweep.json")
+        (tmp_path / "sweep.json").write_text(json.dumps({"kRules": ["Zero"]}))
+    (tmp_path / "file").write_text("")
+    argv = [a.format(missing=tmp_path / "missing_dir", file=tmp_path / "file") for a in argv]
+    assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
+    assert "config error: cannot " in capsys.readouterr().err
+
+
+def test_export_layout_multi_word_is_validation_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, params={"N": 16, "lambda": 4, "gamma": 2, "b": 2,
+                                          "readout": "SequentialMultiBit"})
+    assert main(["export-layout", "--config", cfg, "--out", str(tmp_path / "l")]) == 3
+    err = capsys.readouterr().err
+    assert "b=2" in err and "readout=SequentialMultiBit" in err
 
 
 def test_export_layout_files(tmp_path):
@@ -101,14 +125,40 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_trial_log_jsonl(tmp_path):
+def test_trial_log_jsonl(tmp_path, monkeypatch):
+    # the log comes from the Monte Carlo pass itself: each trial runs once
+    runs = []
+    real = simulator.inject_and_simulate
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "inject_and_simulate", counted)
     cfg = _write_config(tmp_path)
     log = tmp_path / "trials.jsonl"
     assert main(["simulate", "--config", cfg, "--trials", "20", "--seed", "3",
                  "--out", str(tmp_path / "r.json"), "--log", str(log)]) == 0
+    assert len(runs) == 20
     lines = [json.loads(ln) for ln in log.read_text().strip().split("\n")]
     assert len(lines) == 20
     assert all({"trial", "address", "ok", "events"} <= set(ln) for ln in lines)
+    summary = json.loads((tmp_path / "r.json").read_text())
+    assert summary["failures"] == sum(1 for ln in lines if not ln["ok"])
+
+
+@pytest.mark.parametrize("params", [
+    {"N": 16, "lambda": 16, "gamma": 1},
+    {"N": 16, "lambda": 4, "gamma": 2},
+], ids=["bb16", "16_4_2"])
+def test_report_monte_carlo_matches_simulate(tmp_path, capsys, params):
+    cfg = _write_config(tmp_path, params=params, rates={"epsQ": 1e-3, "epsF": 1e-2})
+    assert main(["report", "--config", cfg, "--trials", "2000", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["simulate", "--config", cfg, "--trials", "2000", "--seed", "1"]) == 0
+    simulated = json.loads(capsys.readouterr().out)
+    assert simulated["failures"] > 0
+    assert report["monteCarlo"] == simulated
 
 
 def test_sweep_outputs_and_roundtrip(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from conftest import random_table
 from qlut.builders import build_reference, build_unified_lookup
 from qlut.ir import CircuitBuilder, GateKind, Role, Stage
-from qlut.layout import classify_links, place_htree
+from qlut.layout import classify_links, long_range_error, place_htree
 from qlut.params import DataTable, ErrorRates, derive_params
 from qlut.simulator import (
     basis_input, build_location_table, circuit_idle_windows, containment_experiment,
@@ -64,6 +64,30 @@ def test_link_locations_use_long_range_rate(rng):
     # flagged gates must not double-count their local gate rate
     flagged = set(by_gate)
     assert all(loc.gate_index not in flagged for loc in locs if loc.rate_key == "eps_s")
+
+
+@pytest.mark.parametrize("rates", [
+    ErrorRates(eps_q=1e-3, eps_f=2e-3),
+    ErrorRates(eps_q=1e-3),
+    ErrorRates(eps_q=1e-3, eps_f=2e-3, eps_l=4e-3),
+    ErrorRates(eps_q=1e-3, eps_f=2e-3, eps_l=0.0),
+], ids=["eps_f", "no_eps_f", "eps_l", "eps_l_zero"])
+@pytest.mark.parametrize("distillation", [True, False], ids=["distilled", "ghz"])
+@pytest.mark.parametrize("free_levels", [0, 2])
+def test_link_location_rate_is_long_range_error(rates, distillation, free_levels):
+    circ = build_reference("BucketBrigade", 64, random_table(np.random.default_rng(18), 64))
+    links, by_gate = classify_links(circ, place_htree(circ), distillation=distillation,
+                                    free_levels=free_levels)
+    locs = {loc.gate_index: loc.rate
+            for loc in build_location_table(circ, rates, link_by_gate=by_gate)
+            if loc.rate_key == "eps_l"}
+    assert set(locs) <= set(by_gate)
+    for link in links:
+        want = long_range_error(link, rates)
+        if want == 0.0:
+            assert link.gate_index not in locs
+        else:
+            assert locs[link.gate_index] == want
 
 
 def test_single_error_first_order_consistency(rng):
