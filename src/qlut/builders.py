@@ -24,7 +24,7 @@ from .params import ArchParams, DataTable, Readout, address_bits, derive_params
 
 Op = tuple[GateKind, tuple[int, ...]]
 
-X, Z, H = GateKind.X, GateKind.Z, GateKind.H
+X = GateKind.X
 CNOT, SWAP, CSWAP, CCNOT, CC_X = (
     GateKind.CNOT, GateKind.SWAP, GateKind.CSWAP, GateKind.CCNOT, GateKind.CC_X)
 

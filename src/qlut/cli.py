@@ -88,9 +88,9 @@ def _cell_values(spec: SweepSpec, df: float, pf: float) -> list[float] | None:
         elif spec.metric == "TCountExponent":
             v = costs.t_count_at(n, d, dp, 1.0, Readout.SINGLE_BIT)
         elif spec.metric == "QubitExponent":
-            v = d + 2.0 ** (n - d)
+            v = costs.qubit_count_at(n, d, 1.0, Readout.SINGLE_BIT)
         else:
-            v = 2.0 ** d * n
+            v = costs.query_depth_at(n, d, 1.0, Readout.SINGLE_BIT)
         vals.append(v)
     return vals
 
@@ -184,7 +184,7 @@ def _build_instance(path: str) -> _Instance:
     placement, links, by_gate = None, [], {}
     if circuit.meta.get("family") == "tree":
         placement = place_htree(circuit)
-        links, by_gate = classify_links(circuit, placement)
+        links, by_gate = classify_links(circuit, placement, free_levels=params.k)
     return _Instance(params, rates, circuit, placement, links, by_gate)
 
 

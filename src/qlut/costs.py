@@ -201,25 +201,33 @@ def t_count_formula(params: ArchParams) -> float:
     return t_count_at(params.n, params.d, params.d_prime, params.b, params.readout)
 
 
+def qubit_count_at(n: float, d: float, b: float, readout: Readout) -> float:
+    """Leading-term qubit count on real exponents (n, d) and word size b."""
+    if readout == Readout.PARALLEL and b > 1:
+        return d + b * 2.0 ** (n - d)
+    if readout == Readout.SEQUENTIAL and b > 1:
+        return d + 2.0 ** (n - d + math.log2(b))
+    return d + 2.0 ** (n - d)
+
+
 def qubit_count_formula(params: ArchParams) -> float:
     """Leading-term qubit count with unit constants."""
-    n, d, b = params.n, params.d, params.b
-    if params.readout == Readout.PARALLEL and b > 1:
-        return d + b * 2.0 ** (n - d)
-    if params.readout == Readout.SEQUENTIAL and b > 1:
-        return d + 2.0 ** (n - d + params.d_dprime)
-    return d + 2.0 ** (n - d)
+    return qubit_count_at(params.n, params.d, params.b, params.readout)
+
+
+def query_depth_at(n: float, d: float, b: float, readout: Readout) -> float:
+    """Leading-term logical query depth on real exponents (n, d) and word size b."""
+    reps = 2.0 ** d
+    if b > 1 and readout == Readout.SEQUENTIAL:
+        return reps * (n + math.log2(b)) + b
+    if b > 1:
+        return reps * (n + math.log2(b))
+    return reps * n
 
 
 def query_depth_formula(params: ArchParams) -> float:
     """Leading-term logical query depth with unit constants."""
-    n, d, b = params.n, params.d, params.b
-    reps = 2.0 ** d
-    if params.b > 1 and params.readout == Readout.SEQUENTIAL:
-        return reps * (n + params.d_dprime) + b
-    if params.b > 1:
-        return reps * (n + params.d_dprime)
-    return reps * n
+    return query_depth_at(params.n, params.d, params.b, params.readout)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,6 @@ class KOutOfRangeError(QlutError):
     """Long-range budget k outside [0, n - d]."""
 
 
-class TooManyQubitsError(QlutError):
-    """Circuit exceeds the dense state-vector qubit cap."""
-
-
 class PlacementOverflowError(QlutError):
     """Internal layout inconsistency: two qubits assigned the same grid point."""
 

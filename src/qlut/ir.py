@@ -1,8 +1,8 @@
 """Gate-level intermediate representation.
 
-A Circuit is an ordered list of self-inverse gates with ASAP logical layers,
-a role table for its qubits, and named registers. Circuits are immutable
-after build and safe to share across threads.
+A Circuit is an ordered tuple of self-inverse gates with ASAP logical layers,
+a role table for its qubits, and named registers. Circuits are frozen after
+build and safe to share across threads.
 """
 from __future__ import annotations
 
@@ -29,8 +29,6 @@ class Role(str, Enum):
 
 class GateKind(str, Enum):
     X = "X"
-    Z = "Z"
-    H = "H"
     CNOT = "CNOT"
     SWAP = "SWAP"
     CSWAP = "CSWAP"
@@ -77,10 +75,10 @@ class RouterIds:
         return (self.t, self.inp, self.left, self.right)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
-    qubits: list[QubitInfo]
-    gates: list[Gate]
+    qubits: tuple[QubitInfo, ...]
+    gates: tuple[Gate, ...]
     params: ArchParams | None
     table: DataTable | None
     registers: dict[str, tuple[int, ...]]
@@ -144,12 +142,11 @@ class CircuitBuilder:
             self.gates.append(Gate(g.kind, g.qubits, layer, g.stage, g.rep))
 
     def build(self) -> Circuit:
-        circ = Circuit(
-            qubits=self.qubits, gates=self.gates, params=self.params,
+        return Circuit(
+            qubits=tuple(self.qubits), gates=tuple(self.gates), params=self.params,
             table=self.table, registers=self.registers, routers=self.routers,
             meta=self.meta,
         )
-        return circ
 
 
 def check_layer_disjointness(circuit: Circuit) -> bool:

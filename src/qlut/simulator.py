@@ -1,34 +1,24 @@
 """Exact circuit execution and Pauli-error injection.
 
-Two engines back the analyses:
-
-* a dense state-vector engine (``simulate_ideal``), capped by qubit count,
-  for arbitrary input states;
-* a basis-path engine that tracks one computational basis state and a global
-  phase quadrant. Every gate the builders emit is a permutation with phases,
-  so basis inputs stay basis states even under injected Paulis, and
-  superposition inputs are handled exactly by linearity. This is what makes
-  exhaustive error enumeration and large Monte Carlo sweeps affordable.
+One engine backs every analysis: ``run_basis`` tracks one computational
+basis state and a global phase quadrant. Every gate the builders emit is a
+reversible classical gate (a permutation of basis states), so basis inputs
+stay basis states even under injected Paulis, at any circuit size, and
+superposition inputs are handled exactly by linearity (``run_linear``).
+This is what makes exhaustive error enumeration and large Monte Carlo
+sweeps affordable.
 """
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParamsError, TooManyQubitsError
+from .errors import InvalidParamsError
 from .ir import Circuit, GateKind
 from .layout import LongRangeLink, long_range_error
 from .params import ErrorRates, address_bits
-
-DEFAULT_QUBIT_CAP = 24
-
-
-def qubit_cap() -> int:
-    return int(os.environ.get("QLUT_QUBIT_CAP", DEFAULT_QUBIT_CAP))
-
 
 # -- register packing ---------------------------------------------------------
 
@@ -113,8 +103,6 @@ def run_basis(
                 bits ^= 1 << qs[2]
         elif k in (GateKind.X, GateKind.CC_X):
             bits ^= 1 << qs[0]
-        elif k == GateKind.Z:
-            phase = (phase + 2 * ((bits >> qs[0]) & 1)) % 4
         else:
             raise InvalidParamsError(f"basis engine cannot apply {k}")
     if events and len(gates) in events:
@@ -159,79 +147,6 @@ def lookup_target(circuit: Circuit, amplitudes: dict[int, complex]) -> dict[int,
     return out
 
 
-# -- dense state-vector engine -------------------------------------------------
-
-def _dense_apply(state: np.ndarray, g, idx: np.ndarray) -> np.ndarray:
-    k, qs = g.kind, g.qubits
-    if k in (GateKind.X, GateKind.CC_X):
-        return state[idx ^ (1 << qs[0])]
-    if k == GateKind.Z:
-        out = state.copy()
-        out[((idx >> qs[0]) & 1) == 1] *= -1.0
-        return out
-    if k == GateKind.H:
-        q = qs[0]
-        src = state[idx ^ (1 << q)]
-        sign = 1.0 - 2.0 * ((idx >> q) & 1)
-        return (sign * state + src) / np.sqrt(2.0)
-    if k == GateKind.CNOT:
-        c, t = qs
-        perm = np.where(((idx >> c) & 1) == 1, idx ^ (1 << t), idx)
-        return state[perm]
-    if k == GateKind.SWAP:
-        a, b = qs
-        differ = (((idx >> a) ^ (idx >> b)) & 1) == 1
-        perm = np.where(differ, idx ^ ((1 << a) | (1 << b)), idx)
-        return state[perm]
-    if k == GateKind.CSWAP:
-        c, a, b = qs
-        differ = (((idx >> c) & 1) == 1) & ((((idx >> a) ^ (idx >> b)) & 1) == 1)
-        perm = np.where(differ, idx ^ ((1 << a) | (1 << b)), idx)
-        return state[perm]
-    if k == GateKind.CCNOT:
-        c1, c2, t = qs
-        both = (((idx >> c1) & 1) == 1) & (((idx >> c2) & 1) == 1)
-        perm = np.where(both, idx ^ (1 << t), idx)
-        return state[perm]
-    raise InvalidParamsError(f"dense engine cannot apply {k}")
-
-
-def simulate_ideal(
-    circuit: Circuit,
-    input_state: np.ndarray | None = None,
-    address: int | None = None,
-    check_norm: bool = True,
-) -> np.ndarray:
-    """Exact final state vector. Deterministic; capped at the qubit limit."""
-    nq = circuit.n_qubits
-    cap = qubit_cap()
-    if nq > cap:
-        raise TooManyQubitsError(f"{nq} qubits exceeds cap {cap}")
-    dim = 1 << nq
-    if input_state is not None:
-        state = np.asarray(input_state, dtype=complex).copy()
-        if state.shape != (dim,):
-            raise InvalidParamsError(f"input state must have shape ({dim},)")
-    else:
-        state = np.zeros(dim, dtype=complex)
-        state[basis_input(circuit, address or 0)] = 1.0
-    idx = np.arange(dim)
-    layer = -1
-    for g in circuit.gates:
-        if check_norm and g.layer != layer:
-            if abs(np.linalg.norm(state) - 1.0) > 1e-10:
-                raise InvalidParamsError("state norm drifted beyond 1e-10")
-            layer = g.layer
-        state = _dense_apply(state, g, idx)
-    if check_norm and abs(np.linalg.norm(state) - 1.0) > 1e-10:
-        raise InvalidParamsError("state norm drifted beyond 1e-10")
-    return state
-
-
-def state_overlap(a: np.ndarray, b: np.ndarray) -> float:
-    return abs(np.vdot(a, b)) ** 2
-
-
 # -- error locations -----------------------------------------------------------
 
 _GATE_RATE_KEY = {
@@ -271,7 +186,7 @@ class TrialResult:
     events: list[ErrorEvent] = field(default_factory=list)
 
 
-def circuit_idle_windows(circuit: Circuit) -> dict[int, list[int]]:
+def circuit_idle_layers(circuit: Circuit) -> dict[int, list[int]]:
     """Layers on which each qubit sits idle between its first and last use."""
     first: dict[int, int] = {}
     last: dict[int, int] = {}
@@ -293,7 +208,6 @@ def build_location_table(
     circuit: Circuit,
     rates: ErrorRates,
     link_by_gate: dict[int, LongRangeLink] | None = None,
-    idle_windows: dict[int, list[int]] | None = None,
 ) -> list[Location]:
     """All fault sites with their firing rates.
 
@@ -316,10 +230,8 @@ def build_location_table(
         if rate > 0:
             locs.append(Location(idx, g.qubits, key, rate, idx))
     if rates.eps_i > 0:
-        if idle_windows is None:
-            idle_windows = circuit_idle_windows(circuit)
         touches = _gate_touches(circuit)
-        for q, layers in sorted(idle_windows.items()):
+        for q, layers in sorted(circuit_idle_layers(circuit).items()):
             seq = touches[q]  # per-qubit program order is layer order
             j = 0
             for t in sorted(layers):
@@ -366,10 +278,9 @@ def _events_dict(events: list[ErrorEvent]) -> dict[int, list[tuple[int, str]]]:
 
 
 def trial_outcome_ok(circuit: Circuit, address: int,
-                     events: list[ErrorEvent] | dict | None) -> bool:
+                     events: dict[int, list[tuple[int, str]]] | None) -> bool:
     """Basis-address fidelity indicator: measured (address, word) unchanged."""
-    ev = events if (events is None or isinstance(events, dict)) else _events_dict(events)
-    bits, _ = run_basis(circuit, basis_input(circuit, address), ev)
+    bits, _ = run_basis(circuit, basis_input(circuit, address), events)
     ok_addr = read_register(bits, circuit.reg("address")) == address
     ok_word = (read_register(bits, circuit.reg("bus"), big_endian=False)
                == expected_word(circuit, address))
@@ -383,17 +294,18 @@ def inject_and_simulate(
     trial: int = 0,
     address: int | None = None,
     locations: list[Location] | None = None,
-    link_by_gate: dict | None = None,
-    idle_windows: dict | None = None,
 ) -> TrialResult:
-    """One noisy trial with a deterministic per-trial seed (seed, trial)."""
+    """One noisy trial with a deterministic per-trial seed (seed, trial).
+
+    Long-range links are charged only through a supplied ``locations`` table.
+    """
     if locations is None:
-        locations = build_location_table(circuit, rates, link_by_gate, idle_windows)
+        locations = build_location_table(circuit, rates)
     rng = _trial_rng(seed, trial)
     if address is None:
         address = int(rng.integers(circuit.params.N))
     events = sample_events(locations, rng)
-    ok = True if not events else trial_outcome_ok(circuit, address, events)
+    ok = True if not events else trial_outcome_ok(circuit, address, _events_dict(events))
     return TrialResult(ok=ok, address=address, events=events)
 
 
@@ -403,7 +315,6 @@ def monte_carlo_infidelity(
     trials: int,
     seed: int,
     link_by_gate: dict | None = None,
-    idle_windows: dict | None = None,
     address: int | None = None,
     on_trial: Callable[[int, TrialResult], None] | None = None,
 ) -> dict:
@@ -413,7 +324,7 @@ def monte_carlo_infidelity(
     """
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
-    locations = build_location_table(circuit, rates, link_by_gate, idle_windows)
+    locations = build_location_table(circuit, rates, link_by_gate)
     failures = 0
     for t in range(trials):
         r = inject_and_simulate(circuit, rates, seed, t, address=address,

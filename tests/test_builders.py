@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import classical_lookup, lam_gamma_grid, masked_stage2_cells, random_table
+from dense_oracle import basis_state, overlap, run_dense
 from qlut.builders import (
     ReferenceKind, build_cnot_tree, build_cswap_router, build_linear_router_round,
     build_multi_bit_parallel, build_multi_bit_sequential, build_reference,
@@ -11,7 +14,7 @@ from qlut.ir import GateKind, Role, Stage, check_layer_disjointness, gate_multis
 from qlut.params import DataTable, Readout, derive_params
 from qlut.simulator import (
     basis_input, lookup_target, pack_register, read_register,
-    run_basis, run_linear, simulate_ideal, sparse_overlap, state_overlap,
+    run_basis, run_linear, sparse_overlap,
     uniform_address_superposition,
 )
 
@@ -47,11 +50,11 @@ def test_router_superposed_status_entangles():
     state = np.zeros(dim, dtype=complex)
     state[1 << inp] = 1 / np.sqrt(2)            # t=0 branch
     state[(1 << inp) | (1 << t)] = 1 / np.sqrt(2)  # t=1 branch
-    out = simulate_ideal(c, input_state=state)
+    out = run_dense(c, state)
     expect = np.zeros(dim, dtype=complex)
     expect[1 << left] = 1 / np.sqrt(2)
     expect[(1 << t) | (1 << right)] = 1 / np.sqrt(2)
-    assert state_overlap(out, expect) == pytest.approx(1.0)
+    assert overlap(out, expect) == pytest.approx(1.0)
 
 
 def test_merged_router_saves_a_qubit_and_a_cswap():
@@ -91,11 +94,11 @@ def test_cnot_tree_superposed_root_gives_ghz():
     root = c.reg("root")[0]
     state[0] = 1 / np.sqrt(2)
     state[1 << root] = 1 / np.sqrt(2)
-    out = simulate_ideal(c, input_state=state)
+    out = run_dense(c, state)
     expect = np.zeros(dim, dtype=complex)
     expect[0] = 1 / np.sqrt(2)
     expect[sum(1 << q for q in c.reg("leaves"))] = 1 / np.sqrt(2)
-    assert state_overlap(out, expect) == pytest.approx(1.0)
+    assert overlap(out, expect) == pytest.approx(1.0)
 
 
 def test_unoptimized_cnot_tree_shape():
@@ -314,12 +317,13 @@ def test_layer_disjointness(rng):
         assert check_layer_disjointness(build_reference(kind, 8, random_table(rng, 8)))
 
 
-def test_dense_engine_qubit_cap(rng):
-    from qlut.errors import TooManyQubitsError
-    circ = build_reference("BucketBrigade", 16, random_table(rng, 16))
-    assert circ.n_qubits > 24
-    with pytest.raises(TooManyQubitsError):
-        simulate_ideal(circ, address=0)
+def test_built_circuit_is_frozen(fig11_params, rng):
+    circ = build_unified_lookup(fig11_params, random_table(rng, 16))
+    assert isinstance(circ.gates, tuple) and isinstance(circ.qubits, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circ.gates = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        circ.params = None
 
 
 def test_roles_are_unique_and_quadruples_complete(fig11_params, rng):
@@ -334,7 +338,7 @@ def test_dense_matches_basis_engine(rng):
     table = random_table(rng, 4)
     circ = build_unified_lookup(derive_params(4, 2, 1), table)
     for a in range(4):
-        state = simulate_ideal(circuit=circ, address=a)
+        state = run_dense(circ, basis_state(circ, a))
         out, phase = run_basis(circ, basis_input(circ, a))
         idx = int(np.argmax(np.abs(state)))
         assert idx == out

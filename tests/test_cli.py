@@ -161,6 +161,26 @@ def test_report_monte_carlo_matches_simulate(tmp_path, capsys, params):
     assert report["monteCarlo"] == simulated
 
 
+def test_long_range_budget_k_frees_low_level_links(tmp_path, capsys):
+    # links on router levels below k are free: export-layout marks them and
+    # simulate stops charging them
+    runs = {}
+    for k in (0, 2):
+        cfg = _write_config(tmp_path, name=f"k{k}.json",
+                            params={"N": 64, "lambda": 64, "gamma": 1, "longRangeBudgetK": k},
+                            rates={"epsQ": 1e-3, "epsF": 1e-2})
+        prefix = tmp_path / f"layout{k}"
+        assert main(["export-layout", "--config", cfg, "--out", str(prefix)]) == 0
+        rows = (tmp_path / f"layout{k}_links.csv").read_text().strip().split("\n")[1:]
+        free = [r.split(",") for r in rows if r.endswith(",FreeBudget")]
+        assert main(["simulate", "--config", cfg, "--trials", "3000", "--seed", "1"]) == 0
+        runs[k] = (len(rows), free, json.loads(capsys.readouterr().out)["failures"])
+    assert runs[0][0] == runs[2][0] == 100
+    assert runs[0][1] == [] and runs[0][2] == 94
+    assert len(runs[2][1]) == 44 and {r[3] for r in runs[2][1]} == {"0", "1"}
+    assert runs[2][2] == 53
+
+
 def test_sweep_outputs_and_roundtrip(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({

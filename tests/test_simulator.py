@@ -1,13 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import random_table
-from qlut.builders import build_reference, build_unified_lookup
+from conftest import lam_gamma_grid, random_table
+from dense_oracle import basis_state, run_dense
+from qlut.builders import build_lookup, build_reference, build_unified_lookup
 from qlut.ir import CircuitBuilder, GateKind, Role, Stage
 from qlut.layout import classify_links, long_range_error, place_htree
-from qlut.params import DataTable, ErrorRates, derive_params
+from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.simulator import (
-    basis_input, build_location_table, circuit_idle_windows, containment_experiment,
+    basis_input, build_location_table, circuit_idle_layers, containment_experiment,
     harmful_weight_by_rate, inject_and_simulate, monte_carlo_infidelity,
     off_path_router_qubits, query_path_routers, run_basis, run_linear,
     sparse_overlap, trial_outcome_ok, uniform_address_superposition,
@@ -46,7 +50,7 @@ def test_location_table_counts(rng):
     assert by_key["eps_s"] == hist[GateKind.SWAP]
     assert by_key["eps_cs"] == hist[GateKind.CSWAP]
     assert by_key["eps_cc"] == hist[GateKind.CCNOT]
-    idle = circuit_idle_windows(circ)
+    idle = circuit_idle_layers(circ)
     assert by_key["eps_i"] == sum(len(v) for v in idle.values())
 
 
@@ -121,17 +125,15 @@ def test_infidelity_monotone_in_each_rate(rng):
 # -- containment ---------------------------------------------------------------
 
 def test_empty_circuit_is_identity():
-    import numpy as np
-    from qlut.ir import CircuitBuilder
-    from qlut.simulator import simulate_ideal
     b = CircuitBuilder()
     b.new_register("address", Role.ADDRESS, 2)
     b.new_register("bus", Role.BUS, 1)
     circ = b.build()
     state = np.zeros(8, dtype=complex)
     state[5] = 1.0
-    out = simulate_ideal(circ, input_state=state)
+    out = run_dense(circ, state)
     assert np.array_equal(out, state)
+    assert run_basis(circ, 5) == (5, 0)
 
 
 def test_saturated_cswap_noise_toy_model(rng):
@@ -278,3 +280,36 @@ def test_x_on_diffusion_node_harms_output(rng):
     harmed = sum(
         not trial_outcome_ok(circ, a, {idx + 1: [(target, "X")]}) for a in range(8))
     assert harmed > 0
+
+
+# -- the basis-path engine against the dense oracle ------------------------------
+
+def _oracle_shapes(max_qubits: int = 18) -> list[tuple]:
+    """Every (N, lambda, gamma, b, readout) with N <= 8 the oracle can hold."""
+    shapes = []
+    for N in (1, 2, 4, 8):
+        for (lam, gamma), b, readout in itertools.product(
+                lam_gamma_grid(N), (1, 2, 4), Readout):
+            if b > 1 and readout == Readout.SINGLE_BIT:
+                continue
+            params = derive_params(N, lam, gamma, b, readout)
+            if build_lookup(params, DataTable((0,) * N, b)).n_qubits <= max_qubits:
+                shapes.append((N, lam, gamma, b, readout))
+    return shapes
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(shape=st.sampled_from(_oracle_shapes()), data=st.data())
+def test_basis_engine_matches_dense_oracle_under_one_pauli(shape, data):
+    N, lam, gamma, b, readout = shape
+    words = data.draw(st.tuples(*[st.integers(0, (1 << b) - 1)] * N), label="table")
+    circ = build_lookup(derive_params(N, lam, gamma, b, readout), DataTable(words, b))
+    address = data.draw(st.integers(0, N - 1), label="address")
+    slot = data.draw(st.integers(0, len(circ.gates)), label="slot")
+    qubit = data.draw(st.integers(0, circ.n_qubits - 1), label="qubit")
+    pauli = data.draw(st.sampled_from("XYZ"), label="pauli")
+    events = {slot: [(qubit, pauli)]}
+    bits, phase = run_basis(circ, basis_input(circ, address), events)
+    state = run_dense(circ, basis_state(circ, address), events)
+    assert int(np.argmax(np.abs(state))) == bits
+    assert state[bits] == pytest.approx(1j ** phase)
