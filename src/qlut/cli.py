@@ -24,7 +24,7 @@ from .params import (
     arch_params_to_json, error_rates_from_json, error_rates_to_json, specialization,
 )
 from .resources import count_resources
-from .simulator import TrialResult, monte_carlo_infidelity, trial_outcome_ok
+from .simulator import TrialResult, lookup_correct, monte_carlo_infidelity
 
 _K_RULES = {
     "Zero": 0.0,
@@ -147,12 +147,15 @@ def parse_sweep_csv(text: str) -> dict:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return obj
 
 
 class _Instance(NamedTuple):
@@ -169,17 +172,22 @@ def _build_instance(path: str) -> _Instance:
     """Load a config, build its circuit and, for the single-word tree
     circuits the planar layout covers, place it and classify its links."""
     obj = _load_config(path)
+    for key in ("params", "rates"):
+        if not isinstance(obj.get(key, {}), dict):
+            raise ConfigError(f"config {key!r} must be an object")
     try:
         params = arch_params_from_json(obj["params"])
+        rates = error_rates_from_json(obj.get("rates", {}))
+        if "table" in obj:
+            table = DataTable(words=tuple(int(w) for w in obj["table"]), b=params.b)
+        else:
+            # deterministic default table so reports are reproducible
+            words = tuple((a * 2654435761 >> 7) % (1 << params.b) for a in range(params.N))
+            table = DataTable(words=words, b=params.b)
     except KeyError as exc:
         raise ConfigError(f"config missing key {exc}") from exc
-    rates = error_rates_from_json(obj.get("rates", {}))
-    if "table" in obj:
-        table = DataTable(words=tuple(int(w) for w in obj["table"]), b=params.b)
-    else:
-        # deterministic default table so reports are reproducible
-        words = tuple((a * 2654435761 >> 7) % (1 << params.b) for a in range(params.N))
-        table = DataTable(words=words, b=params.b)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from exc
     circuit = build_lookup(params, table)
     placement, links, by_gate = None, [], {}
     if circuit.meta.get("family") == "tree":
@@ -235,8 +243,7 @@ def cmd_report(args) -> None:
             "scheduleDepth": schedule.total_depth,
         }
     if params.N <= _SIM_VERDICT_CAP:
-        ok = all(trial_outcome_ok(circuit, a, None) for a in range(params.N))
-        report["simulatedCorrect"] = bool(ok)
+        report["simulatedCorrect"] = lookup_correct(circuit)
         if args.trials:
             report["monteCarlo"] = monte_carlo_infidelity(
                 circuit, rates, args.trials, args.seed, link_by_gate=inst.by_gate)

@@ -423,9 +423,10 @@ def build_schedule(
     """Discrete-event walk of the gate list.
 
     Every gate takes one step; with the distillation-depth flag, long-range
-    gates take ceil(log2 m) steps instead (the default models Bell pairs as
-    readily available). Address-setting windows tau are measured from the
-    injection copy to the level's last status deposit.
+    gates outside the free budget take ceil(log2 m) steps instead (the
+    default models Bell pairs as readily available). Address-setting
+    windows tau are measured from the injection copy to the level's last
+    status deposit.
     """
     link_by_gate = link_by_gate or {}
     avail: dict[int, int] = {}
@@ -448,8 +449,9 @@ def build_schedule(
     total = 0
     for idx, g in enumerate(circuit.gates):
         dur = 1
-        if include_distillation_depth and idx in link_by_gate:
-            dur = max(1, math.ceil(math.log2(max(2, link_by_gate[idx].m))))
+        link = link_by_gate.get(idx) if include_distillation_depth else None
+        if link is not None and link.resource != LinkResource.FREE.value:
+            dur = max(1, math.ceil(math.log2(max(2, link.m))))
         t0 = max((avail.get(q, 0) for q in g.qubits), default=0)
         t1 = t0 + dur
         total = max(total, t1)

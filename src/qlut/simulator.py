@@ -1,12 +1,20 @@
 """Exact circuit execution and Pauli-error injection.
 
-One engine backs every analysis: ``run_basis`` tracks one computational
-basis state and a global phase quadrant. Every gate the builders emit is a
+One engine backs every analysis. Every gate the builders emit is a
 reversible classical gate (a permutation of basis states), so basis inputs
 stay basis states even under injected Paulis, at any circuit size, and
-superposition inputs are handled exactly by linearity (``run_linear``).
-This is what makes exhaustive error enumeration and large Monte Carlo
-sweeps affordable.
+superposition inputs are handled exactly by linearity. The engine
+``run_lanes`` is bit-sliced: each qubit is one Python int whose bit i is
+lane i, so one pass over the gate list applies every gate to every lane
+with one to three bitwise operations, single Paulis are per-lane X/Y/Z
+masks, and the global phase quadrant is kept in two lane planes.
+``run_basis`` is its one-lane case (one Monte Carlo trial); ``run_linear``
+runs a superposition's components as lanes; ``containment_experiment``
+runs all its injections at the address as one pass (and, with the
+superposition check, the basis-benign ones times every address as a
+second); ``first_order_infidelity`` and ``harmful_weight_by_rate`` run
+locations x qubits x Paulis x addresses as lanes; ``lookup_correct`` runs
+every address as one pass. A pass carries at most ``_MAX_LANES`` lanes.
 """
 from __future__ import annotations
 
@@ -53,20 +61,83 @@ def expected_word(circuit: Circuit, address: int) -> int:
     return sum(table.bit(address, w) << w for w in range(params.b))
 
 
-# -- basis-path engine --------------------------------------------------------
+# -- bit-sliced lane engine -----------------------------------------------------
 
 _PAULIS = ("X", "Y", "Z")
+_PAULI_MASKS = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
+
+#: most lanes one pass carries, so the planes of a pass (and its memory) do
+#: not grow with the number of injections an analysis asks for
+_MAX_LANES = 1 << 14
+
+#: per slot, (qubit, X-mask, Y-mask, Z-mask) faults applied before that gate
+LaneFaults = dict[int, list[tuple[int, int, int, int]]]
 
 
-def _apply_pauli(bits: int, phase: int, qubit: int, pauli: str) -> tuple[int, int]:
-    mask = 1 << qubit
-    b = (bits >> qubit) & 1
-    if pauli == "X":
-        return bits ^ mask, phase
-    if pauli == "Z":
-        return bits, (phase + 2 * b) % 4
-    # Y|b> = i(-1)^b |1-b>
-    return bits ^ mask, (phase + 1 + 2 * b) % 4
+def run_lanes(circuit: Circuit, planes: list[int], lanes: int,
+              faults: LaneFaults | None = None) -> tuple[int, int]:
+    """Run ``circuit`` on ``lanes`` basis states at once; the one gate loop.
+
+    ``planes[q]`` holds qubit q of every lane (bit i is lane i) and is
+    updated in place. ``faults[slot]`` entries act before gate ``slot``
+    (slot == len(gates): after the last gate) on the lanes of each mask.
+    Returns the global phase quadrant as two lane planes (lo, hi): lane i
+    ends with phase 1j ** (lo_i + 2 * hi_i).
+    """
+    full = (1 << lanes) - 1
+    faults = faults or {}
+    gates = circuit.gates
+    s = planes
+    lo = hi = 0
+    X, CC_X, CNOT, SWAP, CSWAP, CCNOT = (GateKind.X, GateKind.CC_X, GateKind.CNOT,
+                                         GateKind.SWAP, GateKind.CSWAP, GateKind.CCNOT)
+    stops = sorted(slot for slot in faults if slot < len(gates))
+    stops.append(len(gates))
+    pos = 0
+    for stop in stops:
+        for g in gates[pos:stop]:
+            kind, qs = g[0], g[1]
+            if kind is CSWAP:
+                c, a, b = qs
+                d = (s[a] ^ s[b]) & s[c]
+                s[a] ^= d
+                s[b] ^= d
+            elif kind is CNOT:
+                s[qs[1]] ^= s[qs[0]]
+            elif kind is SWAP:
+                a, b = qs
+                s[a], s[b] = s[b], s[a]
+            elif kind is CCNOT:
+                s[qs[2]] ^= s[qs[0]] & s[qs[1]]
+            elif kind is X or kind is CC_X:
+                s[qs[0]] ^= full
+            else:
+                raise InvalidParamsError(f"lane engine cannot apply {kind}")
+        pos = stop
+        # Y|b> = i(-1)^b |1-b> adds 1 + 2b to the phase, Z|b> adds 2b
+        for q, x, y, z in faults.get(stop, ()):
+            b = s[q]
+            hi ^= (lo & y) ^ (b & (y | z))
+            lo ^= y
+            s[q] = b ^ (x | y)
+    return lo, hi
+
+
+def _transpose(rows: list[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit i of out[j] is bit j of rows[i]."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= 1 << i
+            row ^= low
+    return out
+
+
+def _broadcast(events: dict[int, list[tuple[int, str]]] | None, full: int) -> LaneFaults:
+    """``run_basis``-style events as faults on every lane of ``full``."""
+    return {slot: [(q, *(full * m for m in _PAULI_MASKS[p])) for q, p in evs]
+            for slot, evs in (events or {}).items()}
 
 
 def run_basis(
@@ -77,38 +148,12 @@ def run_basis(
     """Propagate one basis state; returns (bits, phase quadrant 0..3).
 
     ``events[slot]`` lists (qubit, pauli) errors applied before gate ``slot``;
-    slot == len(gates) applies after the final gate.
+    slot == len(gates) applies after the final gate. The one-lane case of
+    :func:`run_lanes`.
     """
-    bits, phase = init_bits, 0
-    gates = circuit.gates
-    for idx, g in enumerate(gates):
-        if events and idx in events:
-            for q, p in events[idx]:
-                bits, phase = _apply_pauli(bits, phase, q, p)
-        k = g.kind
-        qs = g.qubits
-        if k == GateKind.CNOT:
-            if (bits >> qs[0]) & 1:
-                bits ^= 1 << qs[1]
-        elif k == GateKind.SWAP:
-            a, b = qs
-            if ((bits >> a) ^ (bits >> b)) & 1:
-                bits ^= (1 << a) | (1 << b)
-        elif k == GateKind.CSWAP:
-            c, a, b = qs
-            if (bits >> c) & 1 and ((bits >> a) ^ (bits >> b)) & 1:
-                bits ^= (1 << a) | (1 << b)
-        elif k == GateKind.CCNOT:
-            if (bits >> qs[0]) & 1 and (bits >> qs[1]) & 1:
-                bits ^= 1 << qs[2]
-        elif k in (GateKind.X, GateKind.CC_X):
-            bits ^= 1 << qs[0]
-        else:
-            raise InvalidParamsError(f"basis engine cannot apply {k}")
-    if events and len(gates) in events:
-        for q, p in events[len(gates)]:
-            bits, phase = _apply_pauli(bits, phase, q, p)
-    return bits, phase
+    planes = _transpose([init_bits], circuit.n_qubits)
+    lo, hi = run_lanes(circuit, planes, 1, _broadcast(events, 1))
+    return _transpose(planes, 1)[0], lo | hi << 1
 
 
 def run_linear(
@@ -116,11 +161,17 @@ def run_linear(
     amplitudes: dict[int, complex],
     events: dict[int, list[tuple[int, str]]] | None = None,
 ) -> dict[int, complex]:
-    """Evolve a sparse superposition by running each basis component."""
+    """Evolve a sparse superposition; its basis components are the lanes."""
     out: dict[int, complex] = {}
-    for bits, amp in amplitudes.items():
-        ob, ph = run_basis(circuit, bits, events)
-        out[ob] = out.get(ob, 0.0) + amp * (1j) ** ph
+    components = list(amplitudes.items())
+    for start in range(0, len(components), _MAX_LANES):
+        chunk = components[start:start + _MAX_LANES]
+        lanes = len(chunk)
+        planes = _transpose([bits for bits, _ in chunk], circuit.n_qubits)
+        lo, hi = run_lanes(circuit, planes, lanes, _broadcast(events, (1 << lanes) - 1))
+        for (_, amp), ob, ph in zip(chunk, _transpose(planes, lanes),
+                                    _transpose([lo, hi], lanes)):
+            out[ob] = out.get(ob, 0.0) + amp * (1j) ** ph
     return out
 
 
@@ -339,16 +390,93 @@ def monte_carlo_infidelity(
 
 # -- exhaustive single-error analysis -------------------------------------------
 
-def _harmful_fraction(circuit: Circuit, loc: Location, addresses: list[int]) -> float:
-    """Probability a firing of this location corrupts a uniform basis query."""
-    w = 1.0 / (3 * len(loc.qubits))
-    harmful = 0.0
-    for q in loc.qubits:
-        for pauli in _PAULIS:
-            ev = {loc.slot: [(q, pauli)]}
-            bad = sum(0 if trial_outcome_ok(circuit, a, ev) else 1 for a in addresses)
+def _query_passes(circuit: Circuit, faults: list[tuple[int, int, str] | None],
+                  addresses: list[int]):
+    """Run every (fault, address) basis query as one lane, fault-major.
+
+    Lane g injects fault g // len(addresses) (None: no fault) into a query of
+    address addresses[g % len(addresses)]. A pass holds at most _MAX_LANES
+    lanes and may end inside a fault's address group. Yields, per pass,
+    (first lane, lanes, wrong, planes, lo, hi): ``wrong`` marks the lanes
+    whose measured (address, word) differs from their query's, and the rest
+    is :func:`run_lanes`' state after the pass.
+    """
+    period = len(addresses)
+    group = (1 << period) - 1
+    bus = circuit.reg("bus")
+    checked = circuit.reg("address") + bus
+    inputs = _transpose([basis_input(circuit, a) for a in addresses], circuit.n_qubits)
+    wanted = _transpose([basis_input(circuit, a)
+                         | pack_register(expected_word(circuit, a), bus, big_endian=False)
+                         for a in addresses], circuit.n_qubits)
+    total = len(faults) * period
+    for start in range(0, total, _MAX_LANES):
+        lanes = min(_MAX_LANES, total - start)
+        full = (1 << lanes) - 1
+        # a one-period pattern times the repunit (one set bit per period)
+        # repeats it along the pass
+        skip = start % period
+        periods = -(-(skip + lanes) // period)
+        repunit = ((1 << periods * period) - 1) // group
+        planes = [(p * repunit >> skip) & full for p in inputs]
+        masks: dict[tuple[int, int], list[int]] = {}
+        for f in range(start // period, (start + lanes - 1) // period + 1):
+            if faults[f] is None:
+                continue
+            slot, q, pauli = faults[f]
+            off = f * period - start
+            own = (group << off if off >= 0 else group >> -off) & full
+            masks.setdefault((slot, q), [0, 0, 0])[_PAULIS.index(pauli)] |= own
+        lane_faults: LaneFaults = {}
+        for (slot, q), (x, y, z) in masks.items():
+            lane_faults.setdefault(slot, []).append((q, x, y, z))
+        lo, hi = run_lanes(circuit, planes, lanes, lane_faults)
+        wrong = 0
+        for q in checked:
+            wrong |= planes[q] ^ ((wanted[q] * repunit >> skip) & full)
+        yield start, lanes, wrong, planes, lo, hi
+
+
+def _count_groups(plane: int, start: int, lanes: int, period: int,
+                  counts: np.ndarray) -> None:
+    """Add to counts[f] the set lanes of fault f's address group in a pass."""
+    bits = np.unpackbits(np.frombuffer(plane.to_bytes(-(-lanes // 8), "little"), np.uint8),
+                         bitorder="little")
+    first = start // period
+    hits = np.bincount((np.flatnonzero(bits) + start) // period - first)
+    counts[first:first + len(hits)] += hits
+
+
+def _wrong_counts(circuit: Circuit, faults: list[tuple[int, int, str] | None],
+                  addresses: list[int]) -> list[int]:
+    """Per fault, how many of its queries measure a wrong (address, word)."""
+    counts = np.zeros(len(faults), dtype=np.int64)
+    for start, lanes, wrong, *_ in _query_passes(circuit, faults, addresses):
+        _count_groups(wrong, start, lanes, len(addresses), counts)
+    return counts.tolist()
+
+
+def lookup_correct(circuit: Circuit) -> bool:
+    """Every fault-free basis query returns its address and table word."""
+    return _wrong_counts(circuit, [None], list(range(circuit.params.N))) == [0]
+
+
+def _harmful_fractions(circuit: Circuit, locations: list[Location],
+                       addresses: list[int]) -> list[float]:
+    """Per location, the probability a firing corrupts a uniform basis query."""
+    variants = [(loc.slot, q, pauli) for loc in locations
+                for q in loc.qubits for pauli in _PAULIS]
+    wrong = _wrong_counts(circuit, variants, addresses)
+    fractions = []
+    pos = 0
+    for loc in locations:
+        w = 1.0 / (3 * len(loc.qubits))
+        harmful = 0.0
+        for bad in wrong[pos:pos + 3 * len(loc.qubits)]:
             harmful += w * bad / len(addresses)
-    return harmful
+        fractions.append(harmful)
+        pos += 3 * len(loc.qubits)
+    return fractions
 
 
 def harmful_weight_by_rate(
@@ -365,9 +493,8 @@ def harmful_weight_by_rate(
     if addresses is None:
         addresses = list(range(circuit.params.N))
     slopes: dict[str, float] = {}
-    for loc in locations:
-        slopes[loc.rate_key] = slopes.get(loc.rate_key, 0.0) + _harmful_fraction(
-            circuit, loc, addresses)
+    for loc, harmful in zip(locations, _harmful_fractions(circuit, locations, addresses)):
+        slopes[loc.rate_key] = slopes.get(loc.rate_key, 0.0) + harmful
     return slopes
 
 
@@ -383,8 +510,8 @@ def first_order_infidelity(
     """
     if addresses is None:
         addresses = list(range(circuit.params.N))
-    return sum(loc.rate * _harmful_fraction(circuit, loc, addresses)
-               for loc in locations)
+    return sum(loc.rate * harmful for loc, harmful in
+               zip(locations, _harmful_fractions(circuit, locations, addresses)))
 
 
 @dataclass
@@ -399,6 +526,53 @@ class ContainmentReport:
     def benign_fraction(self) -> float:
         total = len(self.benign) + len(self.harmful)
         return len(self.benign) / total if total else 1.0
+
+
+def _phase_harmful(circuit: Circuit, faults: list[tuple[int, int, str]]) -> list[bool]:
+    """Per fault: does it lower a uniform-superposition query's overlap with
+    the ideal output below 1?
+
+    Exact in integers. When the ideal map keeps the address register, lane
+    (fault, a) lands in the ideal output set iff its output is the ideal
+    output of the address its register ends with; with c_k landed lanes of
+    phase k, the overlap is ((c0 - c2)^2 + (c1 - c3)^2) / N^2.
+    """
+    N = 1 << circuit.params.n
+    addresses = list(range(N))
+    addr_reg = circuit.reg("address")
+    ideal = [0] * circuit.n_qubits   # bit a: qubit q of address a's ideal output
+    for start, _, _, planes, _, _ in _query_passes(circuit, [None], addresses):
+        for q, plane in enumerate(planes):
+            ideal[q] |= plane << start
+    queries = _transpose([basis_input(circuit, a) for a in addresses], circuit.n_qubits)
+    if any(ideal[q] != queries[q] for q in addr_reg):
+        sup_in = uniform_address_superposition(circuit)
+        sup_ideal = run_linear(circuit, sup_in)
+        return [sparse_overlap(sup_ideal, run_linear(circuit, sup_in, {slot: [(q, p)]}))
+                < 1.0 - 1e-9 for slot, q, p in faults]
+    width = len(addr_reg)
+    set_by = [(q, [a for a in addresses if ideal[q] >> a & 1])
+              for q in range(circuit.n_qubits) if q not in addr_reg]
+    counts = np.zeros((4, len(faults)), dtype=np.int64)
+    for start, lanes, _, planes, lo, hi in _query_passes(circuit, faults, addresses):
+        full = (1 << lanes) - 1
+        ends_at = []   # per address: the lanes whose register ends holding it
+        for a in addresses:
+            at = full
+            for i, q in enumerate(addr_reg):
+                at &= planes[q] if a >> (width - 1 - i) & 1 else ~planes[q]
+            ends_at.append(at)
+        missed = 0
+        for q, hits in set_by:
+            want = 0
+            for a in hits:
+                want |= ends_at[a]
+            missed |= planes[q] ^ want
+        landed = full & ~missed
+        for k, phase in enumerate((~lo & ~hi, lo & ~hi, ~lo & hi, lo & hi)):
+            _count_groups(landed & phase, start, lanes, N, counts[k])
+    c0, c1, c2, c3 = counts
+    return ((c0 - c2) ** 2 + (c1 - c3) ** 2 < N * N).tolist()
 
 
 def containment_experiment(
@@ -417,21 +591,15 @@ def containment_experiment(
     if sites is None:
         nq = circuit.n_qubits
         sites = [(slot, q) for slot in range(len(circuit.gates) + 1) for q in range(nq)]
-    sup_in = uniform_address_superposition(circuit) if check_superposition else None
-    sup_ideal = run_linear(circuit, sup_in) if check_superposition else None
-    report = ContainmentReport(address, [], [], [])
-    for slot, q in sites:
-        for pauli in paulis:
-            ev = {slot: [(q, pauli)]}
-            if trial_outcome_ok(circuit, address, ev):
-                if check_superposition:
-                    got = run_linear(circuit, sup_in, ev)
-                    if sparse_overlap(sup_ideal, got) < 1.0 - 1e-9:
-                        report.phase_harmful.append((slot, q, pauli))
-                        continue
-                report.benign.append((slot, q, pauli))
-            else:
-                report.harmful.append((slot, q, pauli))
+    injections = [(slot, q, pauli) for slot, q in sites for pauli in paulis]
+    wrong = _wrong_counts(circuit, injections, [address])
+    benign = [inj for inj, w in zip(injections, wrong) if not w]
+    report = ContainmentReport(address, benign,
+                               [inj for inj, w in zip(injections, wrong) if w], [])
+    if check_superposition:
+        flagged = _phase_harmful(circuit, benign)
+        report.benign = [inj for inj, bad in zip(benign, flagged) if not bad]
+        report.phase_harmful = [inj for inj, bad in zip(benign, flagged) if bad]
     return report
 
 

@@ -57,6 +57,25 @@ def test_invalid_params_exit_3(tmp_path, capsys):
     assert main(["report", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("over", [
+    {"params": {"N": 16, "lambda": 4, "gamma": 2, "readout": "Bogus"}},
+    {"params": {"N": "x", "lambda": 4, "gamma": 2}},
+    {"table": ["x"] + [0] * 15},
+    {"rates": {"epsQ": "abc"}},
+    {"params": {"N": 16, "lambda": 4, "gamma": 2, "longRangeBudgetK": "a"}},
+    {"params": [1]},
+    {"rates": [1]},
+], ids=["readout", "N", "table", "epsQ", "longRangeBudgetK", "params-list", "rates-list"])
+@pytest.mark.parametrize("command", ["report", "export-gates"])
+def test_malformed_config_value_exits_2(tmp_path, capsys, over, command):
+    cfg = _write_config(tmp_path, **over)
+    argv = [command, "--config", cfg]
+    if command == "export-gates":
+        argv += ["--out", str(tmp_path / "gates.txt")]
+    assert main(argv) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_export_gates_matches_golden(tmp_path):
     cfg = _write_config(tmp_path, params={"N": 2, "lambda": 2, "gamma": 1},
                         table=[1, 0])
@@ -179,6 +198,19 @@ def test_long_range_budget_k_frees_low_level_links(tmp_path, capsys):
     assert runs[0][1] == [] and runs[0][2] == 94
     assert len(runs[2][1]) == 44 and {r[3] for r in runs[2][1]} == {"0", "1"}
     assert runs[2][2] == 53
+
+
+def test_distillation_depth_skips_free_links(tmp_path, capsys):
+    # links inside the free budget need no distilled pair, so they add no
+    # distillation steps to the schedule
+    depth = {}
+    for k in (0, 2):
+        cfg = _write_config(tmp_path, name=f"k{k}.json",
+                            params={"N": 64, "lambda": 64, "gamma": 1, "longRangeBudgetK": k},
+                            rates={"epsQ": 1e-3, "epsF": 1e-2})
+        assert main(["report", "--config", cfg, "--include-distillation-depth"]) == 0
+        depth[k] = json.loads(capsys.readouterr().out)["layout"]["scheduleDepth"]
+    assert depth == {0: 97, 2: 84}
 
 
 def test_sweep_outputs_and_roundtrip(tmp_path):

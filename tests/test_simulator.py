@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference
 from conftest import lam_gamma_grid, random_table
 from dense_oracle import basis_state, run_dense
+from qlut import simulator
 from qlut.builders import build_lookup, build_reference, build_unified_lookup
 from qlut.ir import CircuitBuilder, GateKind, Role, Stage
 from qlut.layout import classify_links, long_range_error, place_htree
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.simulator import (
     basis_input, build_location_table, circuit_idle_layers, containment_experiment,
-    harmful_weight_by_rate, inject_and_simulate, monte_carlo_infidelity,
-    off_path_router_qubits, query_path_routers, run_basis, run_linear,
-    sparse_overlap, trial_outcome_ok, uniform_address_superposition,
+    first_order_infidelity, harmful_weight_by_rate, inject_and_simulate,
+    monte_carlo_infidelity, off_path_router_qubits, query_path_routers, run_basis,
+    run_linear, sparse_overlap, trial_outcome_ok, uniform_address_superposition,
 )
 
 
@@ -313,3 +315,107 @@ def test_basis_engine_matches_dense_oracle_under_one_pauli(shape, data):
     state = run_dense(circ, basis_state(circ, address), events)
     assert int(np.argmax(np.abs(state))) == bits
     assert state[bits] == pytest.approx(1j ** phase)
+
+
+def test_basis_engine_phase_adds_up_over_several_paulis():
+    # several Paulis in one run: the phase quadrant must carry from lo to hi
+    circ = build_unified_lookup(derive_params(4, 2, 1), DataTable((1, 0, 1, 1), 1))
+    q = circ.reg("bus")[0]
+    for first, second, address in itertools.product("XYZ", "XYZ", range(4)):
+        for events in ({3: [(q, first), (q, second)]},
+                       {3: [(q, first)], 9: [(q, second), (q, "Y")]}):
+            bits, phase = run_basis(circ, basis_input(circ, address), events)
+            state = run_dense(circ, basis_state(circ, address), events)
+            assert state[bits] == pytest.approx(1j ** phase)
+
+
+# -- the lane analyses against the per-injection reference -----------------------
+
+_LANE_RATES = ErrorRates(eps_i=1e-3, eps_q=1e-3, eps_s=2e-3, eps_cs=3e-3, eps_c=4e-3,
+                         eps_cc=5e-3, eps_f=1e-2)
+
+
+def _lane_shapes() -> list[tuple]:
+    """Every (N, lambda, gamma, b, readout) with N <= 16, plus the bucket
+    brigade reference at each N."""
+    shapes = [("BucketBrigade", N) for N in (2, 4, 8, 16)]
+    for N in (1, 2, 4, 8, 16):
+        for (lam, gamma), b, readout in itertools.product(
+                lam_gamma_grid(N), (1, 2, 4), Readout):
+            if not (b > 1 and readout == Readout.SINGLE_BIT):
+                shapes.append((N, lam, gamma, b, readout))
+    return shapes
+
+
+def _lane_instance(shape, data):
+    """A drawn circuit with its classified location table."""
+    if shape[0] == "BucketBrigade":
+        N, b = shape[1], 1
+        words = data.draw(st.tuples(*[st.integers(0, 1)] * N), label="table")
+        circ = build_reference("BucketBrigade", N, DataTable(words, b))
+    else:
+        N, lam, gamma, b, readout = shape
+        words = data.draw(st.tuples(*[st.integers(0, (1 << b) - 1)] * N), label="table")
+        circ = build_lookup(derive_params(N, lam, gamma, b, readout), DataTable(words, b))
+    by_gate = {}
+    if circ.meta.get("family") == "tree" and b == 1:
+        _, by_gate = classify_links(circ, place_htree(circ))
+    return circ, build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
+
+
+def _assert_lanes_match_reference(circ, address, sites, locations):
+    want = scalar_reference.containment(circ, address, sites, check_superposition=True)
+    got = containment_experiment(circ, address, sites=sites, check_superposition=True)
+    assert (got.benign, got.harmful, got.phase_harmful) == \
+           (want.benign, want.harmful, want.phase_harmful)
+    addresses = list(range(circ.params.N))
+    fractions = [scalar_reference.harmful_fraction(circ, loc, addresses) for loc in locations]
+    assert first_order_infidelity(circ, locations) == \
+        scalar_reference.first_order_infidelity(locations, fractions)
+    assert harmful_weight_by_rate(circ, locations) == \
+        scalar_reference.harmful_weight_by_rate(locations, fractions)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(shape=st.sampled_from(_lane_shapes()), data=st.data())
+def test_lane_analyses_match_scalar_reference(shape, data):
+    circ, locations = _lane_instance(shape, data)
+    address = data.draw(st.integers(0, circ.params.N - 1), label="address")
+    sites = data.draw(st.lists(
+        st.tuples(st.integers(0, len(circ.gates)), st.integers(0, circ.n_qubits - 1)),
+        max_size=24, unique=True), label="sites")
+    start = data.draw(st.integers(0, len(locations)), label="first location")
+    _assert_lanes_match_reference(circ, address, sites, locations[start:start + 6])
+
+
+def test_phase_check_when_the_ideal_map_moves_the_address():
+    # a circuit whose ideal map flips the address bit: the phase check cannot
+    # read a lane's ideal output off its address register, and must still
+    # agree with the per-injection overlap
+    b = CircuitBuilder(derive_params(2, 2, 1), DataTable((1, 0), 1))
+    (addr,) = b.new_register("address", Role.ADDRESS, 1)
+    (bus,) = b.new_register("bus", Role.BUS, 1)
+    anc = b.new_qubit(Role.CONTROL)
+    b.emit(GateKind.CNOT, addr, anc)
+    b.emit(GateKind.X, addr)
+    b.emit(GateKind.CNOT, anc, bus)
+    circ = b.build()
+    sites = [(slot, q) for slot in range(len(circ.gates) + 1) for q in range(circ.n_qubits)]
+    for address in range(2):
+        want = scalar_reference.containment(circ, address, sites, check_superposition=True)
+        got = containment_experiment(circ, address, sites=sites, check_superposition=True)
+        assert got.phase_harmful
+        assert (got.benign, got.harmful, got.phase_harmful) == \
+               (want.benign, want.harmful, want.phase_harmful)
+
+
+def test_lane_passes_split_inside_address_groups(monkeypatch):
+    # five lanes per pass: every pass of the 16-address analyses ends inside
+    # a fault's address group
+    monkeypatch.setattr(simulator, "_MAX_LANES", 5)
+    circ = build_unified_lookup(derive_params(16, 4, 2),
+                                random_table(np.random.default_rng(3), 16))
+    _, by_gate = classify_links(circ, place_htree(circ))
+    locations = build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
+    sites = [(slot, q) for slot in range(40, 46) for q in range(circ.n_qubits)]
+    _assert_lanes_match_reference(circ, 6, sites, locations[::25])
