@@ -59,20 +59,26 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepSpec":
+        """The spec a sweep config asks for; a malformed value is a ConfigError."""
+        if not isinstance(obj.get("rates", {}), dict):
+            raise ConfigError("sweep 'rates' must be an object")
         kwargs = {}
-        if "nRange" in obj:
-            kwargs["n_range"] = [int(v) for v in obj["nRange"]]
-        if "dFractions" in obj:
-            kwargs["d_fractions"] = [float(v) for v in obj["dFractions"]]
-        if "dPrimeFractions" in obj:
-            kwargs["d_prime_fractions"] = [float(v) for v in obj["dPrimeFractions"]]
-        if "kRule" in obj:
-            kwargs["k_rule"] = obj["kRule"]
-        if "metric" in obj:
-            kwargs["metric"] = obj["metric"]
-        if "rates" in obj:
-            kwargs["rates"] = error_rates_from_json(obj["rates"])
-        return cls(**kwargs)
+        try:
+            if "nRange" in obj:
+                kwargs["n_range"] = [int(v) for v in obj["nRange"]]
+            if "dFractions" in obj:
+                kwargs["d_fractions"] = [float(v) for v in obj["dFractions"]]
+            if "dPrimeFractions" in obj:
+                kwargs["d_prime_fractions"] = [float(v) for v in obj["dPrimeFractions"]]
+            if "kRule" in obj:
+                kwargs["k_rule"] = obj["kRule"]
+            if "metric" in obj:
+                kwargs["metric"] = obj["metric"]
+            if "rates" in obj:
+                kwargs["rates"] = error_rates_from_json(obj["rates"])
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed sweep value: {exc}") from exc
 
 
 def _cell_values(spec: SweepSpec, df: float, pf: float) -> list[float] | None:
@@ -253,6 +259,8 @@ def cmd_report(args) -> None:
 def cmd_sweep(args) -> None:
     obj = _load_config(args.config)
     rules = obj.get("kRules", list(_K_RULES))
+    if not isinstance(rules, list):
+        raise ConfigError("sweep 'kRules' must be a list")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:

@@ -8,13 +8,15 @@ superposition inputs are handled exactly by linearity. The engine
 lane i, so one pass over the gate list applies every gate to every lane
 with one to three bitwise operations, single Paulis are per-lane X/Y/Z
 masks, and the global phase quadrant is kept in two lane planes.
-``run_basis`` is its one-lane case (one Monte Carlo trial); ``run_linear``
-runs a superposition's components as lanes; ``containment_experiment``
-runs all its injections at the address as one pass (and, with the
-superposition check, the basis-benign ones times every address as a
-second); ``first_order_infidelity`` and ``harmful_weight_by_rate`` run
-locations x qubits x Paulis x addresses as lanes; ``lookup_correct`` runs
-every address as one pass. A pass carries at most ``_MAX_LANES`` lanes.
+``run_basis`` is its one-lane case; ``monte_carlo_infidelity`` runs the
+faulty trials of each block of trials as lanes, each with its own flip
+masks; ``run_linear`` runs a superposition's components as lanes;
+``containment_experiment`` runs all its injections at the address as one
+pass (and, with the superposition check, the basis-benign ones times every
+address as a second); ``first_order_infidelity`` and
+``harmful_weight_by_rate`` run locations x qubits x Paulis x addresses as
+lanes; ``lookup_correct`` runs every address as one pass. A pass carries at
+most ``_MAX_LANES`` lanes.
 """
 from __future__ import annotations
 
@@ -61,13 +63,19 @@ def expected_word(circuit: Circuit, address: int) -> int:
     return sum(table.bit(address, w) << w for w in range(params.b))
 
 
+def _answer(circuit: Circuit, address: int) -> int:
+    """The ideal output of a basis query on its address and bus qubits."""
+    return basis_input(circuit, address) | pack_register(
+        expected_word(circuit, address), circuit.reg("bus"), big_endian=False)
+
+
 # -- bit-sliced lane engine -----------------------------------------------------
 
 _PAULIS = ("X", "Y", "Z")
 _PAULI_MASKS = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
 
 #: most lanes one pass carries, so the planes of a pass (and its memory) do
-#: not grow with the number of injections an analysis asks for
+#: not grow with the number of injections or trials an analysis asks for
 _MAX_LANES = 1 << 14
 
 #: per slot, (qubit, X-mask, Y-mask, Z-mask) faults applied before that gate
@@ -132,6 +140,12 @@ def _transpose(rows: list[int], width: int) -> list[int]:
             out[low.bit_length() - 1] |= 1 << i
             row ^= low
     return out
+
+
+def _lane_bits(plane: int, lanes: int) -> np.ndarray:
+    """Bit i of ``plane`` as element i, for the first ``lanes`` lanes."""
+    return np.unpackbits(np.frombuffer(plane.to_bytes(-(-lanes // 8), "little"), np.uint8),
+                         count=lanes, bitorder="little")
 
 
 def _broadcast(events: dict[int, list[tuple[int, str]]] | None, full: int) -> LaneFaults:
@@ -237,24 +251,6 @@ class TrialResult:
     events: list[ErrorEvent] = field(default_factory=list)
 
 
-def circuit_idle_layers(circuit: Circuit) -> dict[int, list[int]]:
-    """Layers on which each qubit sits idle between its first and last use."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    active: dict[int, set[int]] = {}
-    for g in circuit.gates:
-        for q in g.qubits:
-            first.setdefault(q, g.layer)
-            last[q] = g.layer
-            active.setdefault(q, set()).add(g.layer)
-    idle: dict[int, list[int]] = {}
-    for q, f in first.items():
-        layers = [t for t in range(f, last[q] + 1) if t not in active[q]]
-        if layers:
-            idle[q] = layers
-    return idle
-
-
 def build_location_table(
     circuit: Circuit,
     rates: ErrorRates,
@@ -264,7 +260,10 @@ def build_location_table(
 
     Long-range-flagged gates draw from their link's error
     (:func:`layout.long_range_error`) instead of their local gate rate; a
-    firing link hits one endpoint. Zero-rate sites are dropped.
+    firing link hits one endpoint. Each layer a qubit sits idle between two
+    of its gates is one ``eps_i`` site charged before the later gate; sites
+    come gate sites first, then idle sites by qubit and layer. Zero-rate
+    sites are dropped.
     """
     locs: list[Location] = []
     link_by_gate = link_by_gate or {}
@@ -281,15 +280,16 @@ def build_location_table(
         if rate > 0:
             locs.append(Location(idx, g.qubits, key, rate, idx))
     if rates.eps_i > 0:
+        # per qubit, program order is layer order (the builders lay gates
+        # out as soon as possible), so the idle layers between two
+        # consecutive gates on a qubit form one run ending at the later gate
         touches = _gate_touches(circuit)
-        for q, layers in sorted(circuit_idle_layers(circuit).items()):
-            seq = touches[q]  # per-qubit program order is layer order
-            j = 0
-            for t in sorted(layers):
-                while j < len(seq) and seq[j][0] < t:
-                    j += 1
-                slot = seq[j][1] if j < len(seq) else len(circuit.gates)
-                locs.append(Location(slot, (q,), "eps_i", rates.eps_i))
+        for q in sorted(touches):
+            (layer, _), *rest = touches[q]
+            for nxt, idx in rest:
+                if nxt - layer > 1:
+                    locs += [Location(idx, (q,), "eps_i", rates.eps_i)] * (nxt - layer - 1)
+                layer = nxt
     return locs
 
 
@@ -306,26 +306,25 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
 
 
-def sample_events(locations: list[Location], rng: np.random.Generator) -> list[ErrorEvent]:
-    """Independent per-location firing; uniform Pauli on a uniform operand."""
+def _rate_array(locations: list[Location]) -> np.ndarray:
+    return np.fromiter((loc.rate for loc in locations), np.float64, len(locations))
+
+
+def sample_events(locations: list[Location], site_rates: np.ndarray,
+                  rng: np.random.Generator) -> list[ErrorEvent]:
+    """Independent per-location firing; uniform Pauli on a uniform operand.
+
+    ``site_rates`` is the table's rate array (:func:`_rate_array`). One
+    uniform per location decides which locations fire; each firing location
+    then draws its operand and its Pauli, in table order.
+    """
     events: list[ErrorEvent] = []
-    if not locations:
-        return events
-    draws = rng.random(len(locations))
-    for loc, u in zip(locations, draws):
-        if u < loc.rate:
-            q = loc.qubits[rng.integers(len(loc.qubits))]
-            pauli = _PAULIS[rng.integers(3)]
-            events.append(ErrorEvent(loc.slot, q, pauli, loc.rate_key))
+    for i in np.flatnonzero(rng.random(len(locations)) < site_rates).tolist():
+        loc = locations[i]
+        q = loc.qubits[rng.integers(len(loc.qubits))]
+        events.append(ErrorEvent(loc.slot, q, _PAULIS[rng.integers(3)], loc.rate_key))
     events.sort(key=lambda e: e.slot)
     return events
-
-
-def _events_dict(events: list[ErrorEvent]) -> dict[int, list[tuple[int, str]]]:
-    d: dict[int, list[tuple[int, str]]] = {}
-    for e in events:
-        d.setdefault(e.slot, []).append((e.qubit, e.pauli))
-    return d
 
 
 def trial_outcome_ok(circuit: Circuit, address: int,
@@ -336,6 +335,44 @@ def trial_outcome_ok(circuit: Circuit, address: int,
     ok_word = (read_register(bits, circuit.reg("bus"), big_endian=False)
                == expected_word(circuit, address))
     return ok_addr and ok_word
+
+
+def _run_trials(circuit: Circuit, locations: list[Location], site_rates: np.ndarray,
+                seed: int, trials: range, address: int | None) -> list[TrialResult]:
+    """Sample ``trials`` and run the faulty ones as the lanes of one pass.
+
+    Trial t draws from its own (seed, t) generator: its address first,
+    unless fixed, then its events. Only bit flips change a basis query's
+    measured (address, word), so a lane's faults are one flip mask per
+    (slot, qubit): the XOR of its X and Y events there, as two flips in one
+    trial cancel. Z events and the phase are not tracked.
+    """
+    results = []
+    for t in trials:
+        rng = _trial_rng(seed, t)
+        a = int(rng.integers(circuit.params.N)) if address is None else address
+        results.append(TrialResult(True, a, sample_events(locations, site_rates, rng)))
+    faulty = [r for r in results if r.events]
+    if not faulty:
+        return results
+    flips: dict[tuple[int, int], int] = {}
+    for lane, r in enumerate(faulty):
+        for e in r.events:
+            if e.pauli != "Z":
+                flips[e.slot, e.qubit] = flips.get((e.slot, e.qubit), 0) ^ 1 << lane
+    faults: LaneFaults = {}
+    for (slot, q), x in flips.items():
+        faults.setdefault(slot, []).append((q, x, 0, 0))
+    n = circuit.n_qubits
+    planes = _transpose([basis_input(circuit, r.address) for r in faulty], n)
+    wanted = _transpose([_answer(circuit, r.address) for r in faulty], n)
+    run_lanes(circuit, planes, len(faulty), faults)
+    wrong = 0
+    for q in circuit.reg("address") + circuit.reg("bus"):
+        wrong |= planes[q] ^ wanted[q]
+    for r, bad in zip(faulty, _lane_bits(wrong, len(faulty)).tolist()):
+        r.ok = not bad
+    return results
 
 
 def inject_and_simulate(
@@ -352,12 +389,8 @@ def inject_and_simulate(
     """
     if locations is None:
         locations = build_location_table(circuit, rates)
-    rng = _trial_rng(seed, trial)
-    if address is None:
-        address = int(rng.integers(circuit.params.N))
-    events = sample_events(locations, rng)
-    ok = True if not events else trial_outcome_ok(circuit, address, _events_dict(events))
-    return TrialResult(ok=ok, address=address, events=events)
+    return _run_trials(circuit, locations, _rate_array(locations), seed,
+                       range(trial, trial + 1), address)[0]
 
 
 def monte_carlo_infidelity(
@@ -371,18 +404,23 @@ def monte_carlo_infidelity(
 ) -> dict:
     """Mean failure rate over basis-address queries with binomial stderr.
 
-    ``on_trial(t, result)`` sees every trial as it finishes, e.g. to log it.
+    Trials run in blocks of at most ``_MAX_LANES``, the faulty trials of a
+    block as the lanes of one pass; trial t's events and outcome depend on
+    (seed, t) alone. ``on_trial(t, result)`` sees every trial, in order,
+    e.g. to log it.
     """
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
     locations = build_location_table(circuit, rates, link_by_gate)
+    site_rates = _rate_array(locations)
     failures = 0
-    for t in range(trials):
-        r = inject_and_simulate(circuit, rates, seed, t, address=address,
-                                locations=locations)
-        failures += 0 if r.ok else 1
-        if on_trial is not None:
-            on_trial(t, r)
+    for start in range(0, trials, _MAX_LANES):
+        block = range(start, min(start + _MAX_LANES, trials))
+        for t, r in zip(block, _run_trials(circuit, locations, site_rates, seed, block,
+                                           address)):
+            failures += 0 if r.ok else 1
+            if on_trial is not None:
+                on_trial(t, r)
     p = failures / trials
     stderr = float(np.sqrt(p * (1.0 - p) / trials))
     return {"infidelity": p, "stderr": stderr, "trials": trials, "failures": failures}
@@ -403,12 +441,9 @@ def _query_passes(circuit: Circuit, faults: list[tuple[int, int, str] | None],
     """
     period = len(addresses)
     group = (1 << period) - 1
-    bus = circuit.reg("bus")
-    checked = circuit.reg("address") + bus
+    checked = circuit.reg("address") + circuit.reg("bus")
     inputs = _transpose([basis_input(circuit, a) for a in addresses], circuit.n_qubits)
-    wanted = _transpose([basis_input(circuit, a)
-                         | pack_register(expected_word(circuit, a), bus, big_endian=False)
-                         for a in addresses], circuit.n_qubits)
+    wanted = _transpose([_answer(circuit, a) for a in addresses], circuit.n_qubits)
     total = len(faults) * period
     for start in range(0, total, _MAX_LANES):
         lanes = min(_MAX_LANES, total - start)
@@ -440,10 +475,8 @@ def _query_passes(circuit: Circuit, faults: list[tuple[int, int, str] | None],
 def _count_groups(plane: int, start: int, lanes: int, period: int,
                   counts: np.ndarray) -> None:
     """Add to counts[f] the set lanes of fault f's address group in a pass."""
-    bits = np.unpackbits(np.frombuffer(plane.to_bytes(-(-lanes // 8), "little"), np.uint8),
-                         bitorder="little")
     first = start // period
-    hits = np.bincount((np.flatnonzero(bits) + start) // period - first)
+    hits = np.bincount((np.flatnonzero(_lane_bits(plane, lanes)) + start) // period - first)
     counts[first:first + len(hits)] += hits
 
 

@@ -76,6 +76,20 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, over, command):
     assert "config error: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("over", [
+    {"nRange": ["x", 2, 3, 4, 5]},
+    {"rates": {"epsQ": "abc"}},
+    {"kRules": 5},
+    {"dFractions": "ab"},
+    {"rates": [1]},
+], ids=["nRange", "epsQ", "kRules", "dFractions", "rates-list"])
+def test_malformed_sweep_value_exits_2(tmp_path, capsys, over):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"kRules": ["Zero"], **over}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: " in capsys.readouterr().err
+
+
 def test_export_gates_matches_golden(tmp_path):
     cfg = _write_config(tmp_path, params={"N": 2, "lambda": 2, "gamma": 1},
                         table=[1, 0])
@@ -145,20 +159,22 @@ def test_simulate_deterministic_bytes(tmp_path):
 
 
 def test_trial_log_jsonl(tmp_path, monkeypatch):
-    # the log comes from the Monte Carlo pass itself: each trial runs once
-    runs = []
-    real = simulator.inject_and_simulate
+    # the log comes from the Monte Carlo pass itself: each trial is sampled
+    # once, and the 20 trials run as the lanes of one engine pass
+    calls = {"_trial_rng": 0, "run_lanes": 0}
+    for name in calls:
+        real = getattr(simulator, name)
 
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return real(*args, **kwargs)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(simulator, "inject_and_simulate", counted)
+        monkeypatch.setattr(simulator, name, counted)
     cfg = _write_config(tmp_path)
     log = tmp_path / "trials.jsonl"
     assert main(["simulate", "--config", cfg, "--trials", "20", "--seed", "3",
                  "--out", str(tmp_path / "r.json"), "--log", str(log)]) == 0
-    assert len(runs) == 20
+    assert calls == {"_trial_rng": 20, "run_lanes": 1}
     lines = [json.loads(ln) for ln in log.read_text().strip().split("\n")]
     assert len(lines) == 20
     assert all({"trial", "address", "ok", "events"} <= set(ln) for ln in lines)

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qlut.ir import CircuitBuilder, GateKind, Role, Stage
 from qlut.layout import classify_links, long_range_error, place_htree
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.simulator import (
-    basis_input, build_location_table, circuit_idle_layers, containment_experiment,
+    basis_input, build_location_table, containment_experiment,
     first_order_infidelity, harmful_weight_by_rate, inject_and_simulate,
     monte_carlo_infidelity, off_path_router_qubits, query_path_routers, run_basis,
     run_linear, sparse_overlap, trial_outcome_ok, uniform_address_superposition,
@@ -52,7 +53,7 @@ def test_location_table_counts(rng):
     assert by_key["eps_s"] == hist[GateKind.SWAP]
     assert by_key["eps_cs"] == hist[GateKind.CSWAP]
     assert by_key["eps_cc"] == hist[GateKind.CCNOT]
-    idle = circuit_idle_layers(circ)
+    idle = scalar_reference.circuit_idle_layers(circ)
     assert by_key["eps_i"] == sum(len(v) for v in idle.values())
 
 
@@ -347,8 +348,8 @@ def _lane_shapes() -> list[tuple]:
     return shapes
 
 
-def _lane_instance(shape, data):
-    """A drawn circuit with its classified location table."""
+def _lane_circuit(shape, data):
+    """A drawn circuit with its classified long-range links."""
     if shape[0] == "BucketBrigade":
         N, b = shape[1], 1
         words = data.draw(st.tuples(*[st.integers(0, 1)] * N), label="table")
@@ -360,6 +361,12 @@ def _lane_instance(shape, data):
     by_gate = {}
     if circ.meta.get("family") == "tree" and b == 1:
         _, by_gate = classify_links(circ, place_htree(circ))
+    return circ, by_gate
+
+
+def _lane_instance(shape, data):
+    """A drawn circuit with its classified location table."""
+    circ, by_gate = _lane_circuit(shape, data)
     return circ, build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
 
 
@@ -419,3 +426,33 @@ def test_lane_passes_split_inside_address_groups(monkeypatch):
     locations = build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
     sites = [(slot, q) for slot in range(40, 46) for q in range(circ.n_qubits)]
     _assert_lanes_match_reference(circ, 6, sites, locations[::25])
+
+
+# -- the Monte Carlo lanes against the per-trial reference -----------------------
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=2)
+@given(data=st.data())
+@pytest.mark.parametrize("shape", _lane_shapes(),
+                         ids=lambda s: "-".join(str(getattr(v, "value", v)) for v in s))
+def test_monte_carlo_lanes_match_per_trial_reference(shape, data):
+    # high rates put several events on one (slot, qubit) in a trial, and a
+    # small _MAX_LANES splits the trials into several blocks
+    circ, by_gate = _lane_circuit(shape, data)
+    rates = ErrorRates(**{key: data.draw(st.floats(0.02, 0.3), label=key) for key in
+                          ("eps_i", "eps_q", "eps_s", "eps_cs", "eps_c", "eps_cc", "eps_f")})
+    assert build_location_table(circ, rates) == scalar_reference.location_table(circ, rates)
+    locations = scalar_reference.location_table(circ, rates, by_gate)
+    assert build_location_table(circ, rates, by_gate) == locations
+    trials = data.draw(st.integers(1, 24), label="trials")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    address = data.draw(st.none() | st.integers(0, circ.params.N - 1), label="address")
+    max_lanes = data.draw(st.integers(1, 9), label="max lanes")
+    got = []
+    with mock.patch.object(simulator, "_MAX_LANES", max_lanes):
+        summary = monte_carlo_infidelity(
+            circ, rates, trials, seed, link_by_gate=by_gate, address=address,
+            on_trial=lambda t, r: got.append((t, r.ok, r.address, r.events)))
+    want = [(t, r.ok, r.address, r.events) for t, r in
+            scalar_reference.trials(circ, locations, trials, seed, address)]
+    assert got == want
+    assert summary["failures"] == sum(1 for _, ok, _, _ in want if not ok)
