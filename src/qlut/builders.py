@@ -19,10 +19,8 @@ from __future__ import annotations
 from enum import Enum
 
 from .errors import InvalidParamsError
-from .ir import Circuit, CircuitBuilder, Gate, GateKind, Role, RouterIds, Stage
+from .ir import Circuit, CircuitBuilder, GateKind, Op, Role, RouterIds, Stage
 from .params import ArchParams, DataTable, Readout, address_bits, derive_params
-
-Op = tuple[GateKind, tuple[int, ...]]
 
 X = GateKind.X
 CNOT, SWAP, CSWAP, CCNOT, CC_X = (
@@ -44,11 +42,6 @@ def _router_ops(r: RouterIds, reverse: bool = False) -> list[Op]:
         (CSWAP, (r.t, r.inp, r.right)),
     ]
     return ops[::-1] if reverse else ops
-
-
-def _emit(b: CircuitBuilder, ops: list[Op]) -> None:
-    for kind, qubits in ops:
-        b.emit(kind, *qubits)
 
 
 class _LinearRouterSweep:
@@ -95,13 +88,11 @@ class _LinearRouterSweep:
             top = d - 2
             s_lo = 0 if (self.pattern is None or pattern is None) else max(0, c_min - 1)
             if self.pattern is not None:
-                for s in range(top, s_lo - 1, -1):
-                    _emit(b, [self._ladder_op(s)])
+                b.emit_ops([self._ladder_op(s) for s in range(top, s_lo - 1, -1)])
             for z in changed:
                 b.emit(X, self.addr[z])
             if pattern is not None:
-                for s in range(s_lo, top + 1):
-                    _emit(b, [self._ladder_op(s)])
+                b.emit_ops([self._ladder_op(s) for s in range(s_lo, top + 1)])
         self.flips = want_flips if pattern is not None else [0] * d
         self.pattern = pattern
 
@@ -122,6 +113,10 @@ class _Assembler:
         self.words = words
         self.sequential = sequential
         self.b = CircuitBuilder(params, table)
+        # op lists reused by every repetition and level: per (level, word), or per word
+        self._layer_memo: dict[tuple[int, int], tuple[Op, ...]] = {}
+        self._route_memo: dict[tuple[int, int], tuple[Op, ...]] = {}
+        self._load_memo: dict[int, list[list[Op]]] = {}
         self._allocate()
 
     # -- allocation ---------------------------------------------------------
@@ -186,10 +181,12 @@ class _Assembler:
 
     # -- op-list primitives (returned, not emitted, so they can be reversed) --
 
-    def _layer_ops(self, level: int, w: int) -> list[Op]:
-        ops: list[Op] = []
-        for pos in range(1 << level):
-            ops += _router_ops(self.router(level, pos, w))
+    def _layer_ops(self, level: int, w: int) -> tuple[Op, ...]:
+        ops = self._layer_memo.get((level, w))
+        if ops is None:
+            ops = self._layer_memo[level, w] = tuple(
+                op for pos in range(1 << level)
+                for op in _router_ops(self.router(level, pos, w)))
         return ops
 
     def _transfer_ops(self, level: int, w: int) -> list[Op]:
@@ -201,12 +198,17 @@ class _Assembler:
             ops.append((SWAP, (r.right, self.router(level + 1, 2 * pos + 1, w).inp)))
         return ops
 
-    def _route_to_inputs_ops(self, target_level: int, w: int) -> list[Op]:
+    def _route_to_inputs_ops(self, target_level: int, w: int) -> tuple[Op, ...]:
         """Move the staged value from `input` into the level-L in registers."""
-        ops: list[Op] = [(SWAP, (self.inputs[w], self.router(0, 0, w).inp))]
-        for lev in range(target_level):
-            ops += self._layer_ops(lev, w)
-            ops += self._transfer_ops(lev, w)
+        ops = self._route_memo.get((target_level, w))
+        if ops is None:
+            if target_level == 0:
+                ops = ((SWAP, (self.inputs[w], self.router(0, 0, w).inp)),)
+            else:
+                lev = target_level - 1
+                ops = (self._route_to_inputs_ops(lev, w) + self._layer_ops(lev, w)
+                       + tuple(self._transfer_ops(lev, w)))
+            self._route_memo[target_level, w] = ops
         return ops
 
     def _route_to_cells_ops(self, w: int) -> list[Op]:
@@ -215,8 +217,7 @@ class _Assembler:
         D = p.tree_depth
         if D == 0:
             return [(SWAP, (self.inputs[w], self.cells[w][0]))]
-        ops = self._route_to_inputs_ops(D - 1, w)
-        ops += self._layer_ops(D - 1, w)
+        ops = [*self._route_to_inputs_ops(D - 1, w), *self._layer_ops(D - 1, w)]
         if p.gamma == 1:
             for j in range(p.lam):
                 ops.append((SWAP, (self._port(D - 1, j >> 1, w, j & 1),
@@ -277,17 +278,28 @@ class _Assembler:
 
     def _load_ops(self, rep: int, w: int) -> list[Op]:
         """Data-masked XOR of memory row `rep` into the cells (or word registers)."""
-        p, tab = self.p, self.table
-        ops: list[Op] = []
-        for j in range(p.lam):
-            a = p.lam * rep + j
+        lam = self.p.lam
+        row = self.table.words[lam * rep:lam * (rep + 1)]
+        if self.sequential:
+            return [op for word, ops in zip(row, self._cell_load_ops(w))
+                    for bit_w, op in enumerate(ops) if word >> bit_w & 1]
+        return [ops[0] for word, ops in zip(row, self._cell_load_ops(w)) if word >> w & 1]
+
+    def _cell_load_ops(self, w: int) -> list[list[Op]]:
+        """Per cell j, the CNOT that loads each bit of its word: one per bit
+        into the word registers (sequential), else one into cell j of word w."""
+        ops = self._load_memo.get(w)
+        if ops is None:
             if self.sequential:
-                nodes = [self.cells[w][j]] + self.hubs[j]
-                for bit_w in range(p.b):
-                    if tab.bit(a, bit_w):
-                        ops.append((CNOT, (nodes[bit_w // 2], self.regs[j][bit_w])))
-            elif tab.bit(a, w):
-                ops.append((CNOT, (self._cell_source(j, w), self.cells[w][j])))
+                ops = []
+                for j in range(self.p.lam):
+                    nodes = [self.cells[w][j]] + self.hubs[j]
+                    ops.append([(CNOT, (nodes[bit_w // 2], self.regs[j][bit_w]))
+                                for bit_w in range(self.p.b)])
+            else:
+                ops = [[(CNOT, (self._cell_source(j, w), self.cells[w][j]))]
+                       for j in range(self.p.lam)]
+            self._load_memo[w] = ops
         return ops
 
     def _marker_route_ops(self, w: int) -> list[Op]:
@@ -308,7 +320,7 @@ class _Assembler:
         b.stage = Stage.I
         for j in range(p.d_prime):
             for w in range(self.words):
-                _emit(b, self._status_route_ops(self.addr[p.d + j], j, w))
+                b.emit_ops(self._status_route_ops(self.addr[p.d + j], j, w))
 
     def _fanout_marker_ops(self) -> list[Op]:
         regs = (self.q,) + self.q_copies
@@ -319,17 +331,20 @@ class _Assembler:
         b.stage = Stage.II
         prefix = self.addr[:p.d]
         sweep = _LinearRouterSweep(b, prefix, self.ancs, self.q)
+        # the fan-out and each word's route-and-diffuse segment are the same
+        # in every repetition; only the data-masked loads differ
+        fan = self._fanout_marker_ops()
+        segs = [self._marker_route_ops(w) + self._diffusion_ops(w)
+                for w in range(self.words)]
         for rep in range(p.repetitions):
             b.rep = rep
             sweep.advance(address_bits(rep, p.d) if p.d else ())
-            fan = self._fanout_marker_ops()
-            _emit(b, fan)
-            for w in range(self.words):
-                seg = self._marker_route_ops(w) + self._diffusion_ops(w)
-                _emit(b, seg)
-                _emit(b, self._load_ops(rep, w))
-                _emit(b, seg[::-1])
-            _emit(b, fan[::-1])
+            b.emit_ops(fan)
+            for w, seg in enumerate(segs):
+                b.emit_ops(seg)
+                b.emit_ops(self._load_ops(rep, w))
+                b.emit_ops(reversed(seg))
+            b.emit_ops(reversed(fan))
         sweep.advance(None)
         b.rep = 0
 
@@ -339,18 +354,18 @@ class _Assembler:
         D, dp = p.tree_depth, p.d_prime
         for w in range(self.words):
             for j in range(dp, D):
-                _emit(b, self._status_route_ops(self.addr[p.d + j], j, w))
+                b.emit_ops(self._status_route_ops(self.addr[p.d + j], j, w))
         if self.sequential:
             for it in range(p.b):
                 b.rep = it
                 for j in range(p.lam):
                     b.emit(SWAP, self.regs[j][it], self.cells[0][j])
-                _emit(b, self._route_to_cells_ops(0)[::-1])
+                b.emit_ops(reversed(self._route_to_cells_ops(0)))
                 b.emit(CNOT, self.inputs[0], self.bus[it])
             b.rep = 0
         else:
             for w in range(self.words):
-                _emit(b, self._route_to_cells_ops(w)[::-1])
+                b.emit_ops(reversed(self._route_to_cells_ops(w)))
                 b.emit(CNOT, self.inputs[w], self.bus[w])
 
     def build(self, family: str) -> Circuit:
@@ -436,16 +451,16 @@ def _reference_bucket_brigade(N: int, table: DataTable) -> Circuit:
     n = params.n
     b.stage = Stage.I
     for j in range(n):
-        _emit(b, asm._status_route_ops(asm.addr[j], j, 0))
+        b.emit_ops(asm._status_route_ops(asm.addr[j], j, 0))
     b.stage = Stage.II
     b.emit(X, asm.q)
     seg = asm._marker_route_ops(0)
-    _emit(b, seg)
-    _emit(b, asm._load_ops(0, 0))
-    _emit(b, seg[::-1])
+    b.emit_ops(seg)
+    b.emit_ops(asm._load_ops(0, 0))
+    b.emit_ops(reversed(seg))
     b.emit(X, asm.q)
     b.stage = Stage.III
-    _emit(b, asm._route_to_cells_ops(0)[::-1])
+    b.emit_ops(reversed(asm._route_to_cells_ops(0)))
     b.emit(CNOT, asm.inputs[0], asm.bus[0])
     b.meta["family"] = "tree"
     b.meta["reference"] = "BucketBrigade"
@@ -465,12 +480,12 @@ def _reference_fan_out(N: int, table: DataTable) -> Circuit:
             b.emit(CNOT, asm.router(j, pos - 1).t, asm.router(j, pos).t)
     b.stage = Stage.II
     route = asm._route_to_inputs_ops(n - 1, 0) + asm._layer_ops(n - 1, 0)
-    _emit(b, route)
+    b.emit_ops(route)
     for j in range(N):
         if table.bit(j, 0):
             b.emit(CC_X, asm._port(n - 1, j >> 1, 0, j & 1))
     b.stage = Stage.III
-    _emit(b, route[::-1])
+    b.emit_ops(reversed(route))
     b.emit(CNOT, asm.inputs[0], asm.bus[0])
     b.meta["family"] = "tree"
     b.meta["reference"] = "FanOut"
@@ -495,11 +510,11 @@ def _reference_select_swap(N: int, table: DataTable, lam: int | None = None) -> 
         sweep.advance(address_bits(rep, d) if d else ())
         fan = [(CNOT, (asm.q, nodes[0]))]
         fan += [(CNOT, (nodes[(j - 1) // 2], nodes[j])) for j in range(1, lam)]
-        _emit(b, fan)
+        b.emit_ops(fan)
         for j in range(lam):
             if table.bit(lam * rep + j, 0):
                 b.emit(CNOT, nodes[j], asm.cells[0][j])
-        _emit(b, fan[::-1])
+        b.emit_ops(reversed(fan))
     sweep.advance(None)
     b.rep = 0
     b.stage = Stage.III
@@ -507,7 +522,7 @@ def _reference_select_swap(N: int, table: DataTable, lam: int | None = None) -> 
         b.emit(CNOT, asm.addr[d + j], asm.router(j, 0).t)
         for pos in range(1, 1 << j):
             b.emit(CNOT, asm.router(j, pos - 1).t, asm.router(j, pos).t)
-    _emit(b, asm._route_to_cells_ops(0)[::-1])
+    b.emit_ops(reversed(asm._route_to_cells_ops(0)))
     b.emit(CNOT, asm.inputs[0], asm.bus[0])
     b.meta["family"] = "select_swap"
     b.meta["reference"] = "SelectSwap"
@@ -540,7 +555,7 @@ def build_cswap_router(merged: bool = False) -> Circuit:
     else:
         left = b.new_qubit(Role.ROUTER_LEFT, 0, 0)
         right = b.new_qubit(Role.ROUTER_RIGHT, 0, 0)
-        _emit(b, _router_ops(RouterIds(t, inp, left, right)))
+        b.emit_ops(_router_ops(RouterIds(t, inp, left, right)))
         b.registers.update(t=(t,), inp=(inp,), left=(left,), right=(right,))
     return b.build()
 

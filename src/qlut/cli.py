@@ -38,6 +38,10 @@ _METRICS = ("InfidelityExponent", "TCountExponent", "QubitExponent", "DepthExpon
 
 _SIM_VERDICT_CAP = 256  # exhaustive-address verdict only below this size
 
+# largest sweep size n = log2 N: the budgeted infidelity forms gamma * N,
+# up to 2**(2n), and a float overflows from 2**1024 on
+_MAX_SWEEP_N = 511
+
 
 @dataclass
 class SweepSpec:
@@ -56,6 +60,9 @@ class SweepSpec:
             raise ConfigError(f"unknown metric {self.metric!r}")
         if len(self.n_range) < 5:
             raise ConfigError("nRange needs at least 5 sizes for exponent fits")
+        if not all(1 <= n <= _MAX_SWEEP_N for n in self.n_range):
+            raise ConfigError(
+                f"nRange sizes n = log2 N must lie in [1, {_MAX_SWEEP_N}], got {self.n_range}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepSpec":
@@ -233,7 +240,10 @@ def cmd_report(args) -> None:
             "queryDepth": costs.query_depth_formula(params),
         },
     }
-    if params.b == 1:
+    if params.b == 1 and params.k > 0:
+        # the free long-range budget replaces the eps_L terms
+        report["infidelity"] = costs.budgeted_infidelity(params, rates).to_json()
+    elif params.b == 1:
         report["infidelity"] = costs.general_infidelity(params, rates).to_json()
     else:
         report["infidelity"] = costs.multi_bit_infidelity(params, rates).to_json()

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import groupby
 from typing import Iterable, NamedTuple
 
 from .params import ArchParams, DataTable
@@ -55,6 +56,12 @@ class Gate(NamedTuple):
     layer: int
     stage: str        # "I", "II", "III"
     rep: int = 0      # Stage-II repetition / Stage-III iteration index
+
+
+#: one gate to emit: its kind and operands
+Op = tuple[GateKind, tuple[int, ...]]
+
+_new_tuple = tuple.__new__
 
 
 class Stage:
@@ -116,7 +123,7 @@ class CircuitBuilder:
         self.rep = 0
 
     def new_qubit(self, role: Role, level: int = -1, pos: int = -1, word: int = 0) -> int:
-        self.qubits.append(QubitInfo(role, level, pos, word))
+        self.qubits.append(_new_tuple(QubitInfo, (role, level, pos, word)))
         self._frontier.append(0)
         return len(self.qubits) - 1
 
@@ -126,20 +133,49 @@ class CircuitBuilder:
         return ids
 
     def emit(self, kind: GateKind, *qubits: int) -> None:
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate operand in {kind}: {qubits}")
-        layer = max(self._frontier[q] for q in qubits)
-        for q in qubits:
-            self._frontier[q] = layer + 1
-        self.gates.append(Gate(kind, tuple(qubits), layer, self.stage, self.rep))
+        self.emit_ops(((kind, qubits),))
+
+    def emit_ops(self, ops: Iterable[Op]) -> None:
+        """Append ``(kind, qubits)`` ops in order, each on the first layer
+        after every operand's previous gate, tagged with the current stage
+        and repetition. A repeated operand is a ValueError."""
+        frontier, append = self._frontier, self.gates.append
+        stage, rep = self.stage, self.rep
+        for kind, qubits in ops:
+            n = len(qubits)
+            if n == 1:
+                a, = qubits
+                layer = frontier[a]
+                frontier[a] = layer + 1
+            elif n == 2:
+                a, b = qubits
+                if a == b:
+                    raise ValueError(f"duplicate operand in {kind}: {qubits}")
+                layer = frontier[a]
+                if frontier[b] > layer:
+                    layer = frontier[b]
+                frontier[a] = frontier[b] = layer + 1
+            elif n == 3:
+                a, b, c = qubits
+                if a == b or a == c or b == c:
+                    raise ValueError(f"duplicate operand in {kind}: {qubits}")
+                layer = max(frontier[a], frontier[b], frontier[c])
+                frontier[a] = frontier[b] = frontier[c] = layer + 1
+            else:
+                if len(set(qubits)) != n:
+                    raise ValueError(f"duplicate operand in {kind}: {qubits}")
+                layer = max([frontier[q] for q in qubits])
+                for q in qubits:
+                    frontier[q] = layer + 1
+            # tuple.__new__ skips the NamedTuple's Python-level __new__
+            append(_new_tuple(Gate, (kind, tuple(qubits), layer, stage, rep)))
 
     def extend(self, gates: Iterable[Gate]) -> None:
         """Re-emit existing gates (fresh layers, original stage tags kept)."""
-        for g in gates:
-            layer = max(self._frontier[q] for q in g.qubits)
-            for q in g.qubits:
-                self._frontier[q] = layer + 1
-            self.gates.append(Gate(g.kind, g.qubits, layer, g.stage, g.rep))
+        stage, rep = self.stage, self.rep
+        for (self.stage, self.rep), run in groupby(gates, key=lambda g: (g.stage, g.rep)):
+            self.emit_ops((g.kind, g.qubits) for g in run)
+        self.stage, self.rep = stage, rep
 
     def build(self) -> Circuit:
         return Circuit(
@@ -169,23 +205,29 @@ def gate_multiset(circuit: Circuit) -> dict:
     return counts
 
 
+#: the kind a long-range-flagged gate is exported as
+_LONG_RANGE_KIND = {GateKind.SWAP: GateKind.LR_SWAP, GateKind.CNOT: GateKind.LR_CNOT}
+
+
 def export_gate_list(circuit: Circuit, link_by_gate: dict[int, "object"] | None = None) -> str:
     """One gate per line: ``LAYER <k> STAGE <s> <KIND> <qubit ids> [len=<m>]``.
 
     When a link classification is supplied, flagged SWAP/CNOT gates are
     renamed to their long-range kinds and annotated with the path length.
     """
+    ids = [str(q) for q in range(circuit.n_qubits)]
+    # operand strings per distinct operand tuple: the builders repeat the
+    # same op lists, so most gates reuse one
+    operands: dict[tuple[int, ...], str] = {}
     lines = []
-    for idx, g in enumerate(circuit.gates):
-        kind = g.kind
-        suffix = ""
-        if link_by_gate and idx in link_by_gate:
-            link = link_by_gate[idx]
-            if kind == GateKind.SWAP:
-                kind = GateKind.LR_SWAP
-            elif kind == GateKind.CNOT:
-                kind = GateKind.LR_CNOT
-            suffix = f" len={link.m}"
-        ids = " ".join(str(q) for q in g.qubits)
-        lines.append(f"LAYER {g.layer} STAGE {g.stage} {kind.value} {ids}{suffix}")
+    append = lines.append
+    for kind, qubits, layer, stage, _ in circuit.gates:
+        text = operands.get(qubits)
+        if text is None:
+            text = operands[qubits] = " ".join([ids[q] for q in qubits])
+        append(f"LAYER {layer} STAGE {stage} {kind._value_} {text}")
+    for idx, link in (link_by_gate or {}).items():
+        kind, qubits, layer, stage, _ = circuit.gates[idx]
+        kind = _LONG_RANGE_KIND.get(kind, kind)
+        lines[idx] = f"LAYER {layer} STAGE {stage} {kind.value} {operands[qubits]} len={link.m}"
     return "\n".join(lines) + "\n"

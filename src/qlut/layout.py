@@ -16,10 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InitialErrorTooLargeError, InvalidParamsError, PlacementOverflowError
 from .ir import Circuit, GateKind, Role
 from .params import ErrorRates
+
+_new_tuple = tuple.__new__
 
 # directions as (dx, dy); rotating left = toward the "left" output port
 _N, _E, _S, _W = (0, 1), (1, 0), (0, -1), (-1, 0)
@@ -39,8 +45,7 @@ class LinkResource(str, Enum):
     FREE = "FreeBudget"
 
 
-@dataclass(frozen=True)
-class LongRangeLink:
+class LongRangeLink(NamedTuple):
     gate_index: int
     source: int
     target: int
@@ -297,12 +302,20 @@ def place_htree(circuit: Circuit) -> GridPlacement:
                          reserved=reserved)
 
 
-def _is_local(placement: GridPlacement, qubits: tuple[int, ...]) -> bool:
-    """Local = some pivot operand is grid-adjacent to every other operand."""
-    for pivot in qubits:
-        if all(placement.distance(pivot, q) <= 1 for q in qubits if q != pivot):
-            return True
-    return False
+def _operand_arrays(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per gate: its arity and the offset of its operands in the flat
+    operand array, plus that array (every gate's qubits in gate order)."""
+    operands = [g.qubits for g in circuit.gates]
+    arity = np.fromiter(map(len, operands), np.intp, len(operands))
+    flat = np.fromiter(chain.from_iterable(operands), np.intp, int(arity.sum()))
+    return arity, np.cumsum(arity) - arity, flat
+
+
+def _grid_arrays(placement: GridPlacement, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of every qubit, indexed by qubit id."""
+    rc = np.fromiter(chain.from_iterable(map(placement.coords.__getitem__, range(n_qubits))),
+                     np.intp, 2 * n_qubits)
+    return rc[0::2], rc[1::2]
 
 
 def classify_links(
@@ -311,28 +324,51 @@ def classify_links(
     distillation: bool = True,
     free_levels: float = 0.0,
 ) -> tuple[list[LongRangeLink], dict[int, LongRangeLink]]:
-    """Split every multi-qubit gate into local vs long-range-with-length-m."""
-    links: list[LongRangeLink] = []
-    by_gate: dict[int, LongRangeLink] = {}
-    for idx, g in enumerate(circuit.gates):
-        if len(g.qubits) < 2 or _is_local(placement, g.qubits):
-            continue
-        pairs = [(placement.distance(a, b), a, b)
-                 for i, a in enumerate(g.qubits) for b in g.qubits[i + 1:]]
-        m, src, dst = max(pairs)
-        levels = sorted({circuit.qubits[q].level for q in g.qubits
-                         if circuit.qubits[q].level >= 0})
-        level = levels[0] if len(levels) >= 2 else None
-        if level is not None and level < free_levels:
-            resource = LinkResource.FREE
-        elif distillation:
-            resource = LinkResource.DISTILLED
-        else:
-            resource = LinkResource.GHZ
-        link = LongRangeLink(idx, src, dst, m, level, resource.value)
-        links.append(link)
-        by_gate[idx] = link
-    return links, by_gate
+    """Split every multi-qubit gate into local vs long-range-with-length-m.
+
+    A gate is local when some pivot operand is grid-adjacent (Manhattan
+    distance <= 1) to every other operand. A long-range gate's
+    (m, source, target) is the largest (distance, a, b) over its operand
+    pairs, a before b; its level is the lowest tree level among its
+    operands when they span two or more distinct levels, else None. Gates
+    are classified per arity as numpy arrays; links come in gate order.
+    """
+    n = circuit.n_qubits
+    arity, start, flat = _operand_arrays(circuit)
+    row, col = _grid_arrays(placement, n)
+    level_of = np.fromiter((info.level for info in circuit.qubits), np.intp, n)
+    found = []  # per arity: (gate index, m, source, target, level or -1)
+    for k in (np.flatnonzero(np.bincount(arity)[2:]) + 2).tolist():
+        gate = np.flatnonzero(arity == k)
+        q = flat[start[gate, None] + np.arange(k)]
+        r, c = row[q], col[q]
+        dist = (np.abs(r[:, :, None] - r[:, None, :])
+                + np.abs(c[:, :, None] - c[:, None, :]))
+        far = ~(dist <= 1).all(axis=2).any(axis=1)
+        gate, q, dist = gate[far], q[far], dist[far]
+        i, j = np.triu_indices(k, 1)
+        pair_d = dist[:, i, j]
+        # lexicographic max of (distance, a, b) as one integer key
+        key = (pair_d * n + q[:, i]) * n + q[:, j]
+        best = key.argmax(axis=1)
+        pick = np.arange(len(gate))
+        lv = level_of[q]
+        low = np.where(lv >= 0, lv, np.iinfo(np.intp).max).min(axis=1)
+        level = np.where(low < lv.max(axis=1), low, -1)
+        found.append((gate, pair_d[pick, best], q[pick, i[best]], q[pick, j[best]], level))
+    if not found:
+        return [], {}
+    gate, m, src, dst, level = (np.concatenate(v) for v in zip(*found))
+    order = np.argsort(gate)
+    levels = [None if lv < 0 else lv for lv in level[order].tolist()]
+    rest = LinkResource.DISTILLED.value if distillation else LinkResource.GHZ.value
+    resource = [LinkResource.FREE.value if lv is not None and lv < free_levels else rest
+                for lv in levels]
+    # tuple.__new__ skips the NamedTuple's Python-level __new__
+    links = [_new_tuple(LongRangeLink, row) for row in zip(
+        gate[order].tolist(), src[order].tolist(), dst[order].tolist(),
+        m[order].tolist(), levels, resource)]
+    return links, {link.gate_index: link for link in links}
 
 
 def level_pitches(circuit: Circuit, placement: GridPlacement) -> dict[int, list[int]]:
@@ -428,47 +464,61 @@ def build_schedule(
     windows tau are measured from the injection copy to the level's last
     status deposit.
     """
-    link_by_gate = link_by_gate or {}
-    avail: dict[int, int] = {}
-    first: dict[int, int] = {}
-    busy: dict[int, int] = {}
-    status_role = {q for q, info in enumerate(circuit.qubits)
-                   if info.role == Role.ROUTER_STATUS}
+    durations = repeat(1)
+    if include_distillation_depth and link_by_gate:
+        # only non-free long-range gates take more than one step
+        durations = [1] * len(circuit.gates)
+        for idx, link in link_by_gate.items():
+            if link.resource != LinkResource.FREE.value:
+                durations[idx] = max(1, math.ceil(math.log2(max(2, link.m))))
+    n = circuit.n_qubits
+    avail = [0] * n
+    first = [-1] * n
+    busy = [0] * n
+    touched: list[int] = []   # qubits in order of first use
+    status = [info.role == Role.ROUTER_STATUS for info in circuit.qubits]
+    level_of = [info.level for info in circuit.qubits]
     addr = set(circuit.reg("address"))
     inputs = set(circuit.reg("input"))
-    # canonical query branch: the all-left path (level, 0) -> (level+1, 0)
+    # canonical query branch: the all-left path (level, 0) -> (level+1, 0),
+    # as SWAP operand pairs in either order
     branch_pairs = set()
     D = circuit.params.tree_depth if circuit.params else 0
     for level in range(D - 1):
         parent = circuit.routers[(level, 0, 0)]
         child = circuit.routers[(level + 1, 0, 0)]
-        branch_pairs.add(frozenset((parent.left, child.inp)))
+        branch_pairs |= {(parent.left, child.inp), (child.inp, parent.left)}
     tau: dict[int, int] = {}
     crossings: dict[int, int] = {level: 0 for level in range(max(0, D - 1))}
     inject_end = 0
     total = 0
-    for idx, g in enumerate(circuit.gates):
-        dur = 1
-        link = link_by_gate.get(idx) if include_distillation_depth else None
-        if link is not None and link.resource != LinkResource.FREE.value:
-            dur = max(1, math.ceil(math.log2(max(2, link.m))))
-        t0 = max((avail.get(q, 0) for q in g.qubits), default=0)
+    CNOT, SWAP = GateKind.CNOT, GateKind.SWAP
+    for (kind, qubits, _, stage, _), dur in zip(circuit.gates, durations):
+        if len(qubits) == 2:
+            a, b = qubits
+            t0 = avail[a] if avail[a] > avail[b] else avail[b]
+        elif len(qubits) == 1:
+            t0 = avail[qubits[0]]
+        else:
+            t0 = max([avail[q] for q in qubits], default=0)
         t1 = t0 + dur
-        total = max(total, t1)
-        for q in g.qubits:
+        if t1 > total:
+            total = t1
+        for q in qubits:
             avail[q] = t1
-            first.setdefault(q, t0)
-            busy[q] = busy.get(q, 0) + dur
-        if g.kind == GateKind.CNOT and g.qubits[0] in addr and g.qubits[1] in inputs:
-            inject_end = t1
-        if g.kind == GateKind.SWAP and g.qubits[1] in status_role:
-            level = circuit.qubits[g.qubits[1]].level
-            tau[level] = max(tau.get(level, 0), t1 - inject_end)
-        if (g.kind == GateKind.SWAP and g.stage == "I"
-                and frozenset(g.qubits) in branch_pairs):
-            level = min(circuit.qubits[q].level for q in g.qubits)
-            crossings[level] += 1
-    idle = {q: (avail[q] - first[q]) - busy[q] for q in avail}
-    idle = {q: v for q, v in idle.items() if v > 0}
+            if first[q] < 0:
+                first[q] = t0
+                touched.append(q)
+            busy[q] += dur
+        if kind is CNOT:
+            if qubits[0] in addr and qubits[1] in inputs:
+                inject_end = t1
+        elif kind is SWAP:
+            if status[qubits[1]]:
+                level = level_of[qubits[1]]
+                tau[level] = max(tau.get(level, 0), t1 - inject_end)
+            if stage == "I" and qubits in branch_pairs:
+                crossings[min(level_of[q] for q in qubits)] += 1
+    idle = {q: v for q in touched if (v := avail[q] - first[q] - busy[q]) > 0}
     return Schedule(total_depth=total, idle=idle, tau=tau,
                     level_crossings=crossings)

@@ -48,7 +48,7 @@ def count_resources(circuit: Circuit, decomposition: Decomposition | str = "t7")
             decomposition = DECOMPOSITIONS[decomposition]
         except KeyError:
             raise InvalidParamsError(f"unknown decomposition {decomposition!r}") from None
-    hist = Counter(g.kind.value for g in circuit.gates)
+    hist = Counter([g.kind._value_ for g in circuit.gates])
     t_count = (hist.get(GateKind.CCNOT.value, 0) * decomposition.t_per_ccnot
                + hist.get(GateKind.CSWAP.value, 0) * decomposition.t_per_cswap)
     return ResourceCount(

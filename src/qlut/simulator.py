@@ -200,18 +200,6 @@ def uniform_address_superposition(circuit: Circuit) -> dict[int, complex]:
     return {basis_input(circuit, a): amp for a in range(1 << n)}
 
 
-def lookup_target(circuit: Circuit, amplitudes: dict[int, complex]) -> dict[int, complex]:
-    """The ideal post-uncompute state: address and bus set, all else zero."""
-    addr_reg, bus_reg = circuit.reg("address"), circuit.reg("bus")
-    out: dict[int, complex] = {}
-    for bits, amp in amplitudes.items():
-        a = read_register(bits, addr_reg)
-        word = expected_word(circuit, a)
-        key = pack_register(a, addr_reg) | pack_register(word, bus_reg, big_endian=False)
-        out[key] = out.get(key, 0.0) + amp
-    return out
-
-
 # -- error locations -----------------------------------------------------------
 
 _GATE_RATE_KEY = {
@@ -325,16 +313,6 @@ def sample_events(locations: list[Location], site_rates: np.ndarray,
         events.append(ErrorEvent(loc.slot, q, _PAULIS[rng.integers(3)], loc.rate_key))
     events.sort(key=lambda e: e.slot)
     return events
-
-
-def trial_outcome_ok(circuit: Circuit, address: int,
-                     events: dict[int, list[tuple[int, str]]] | None) -> bool:
-    """Basis-address fidelity indicator: measured (address, word) unchanged."""
-    bits, _ = run_basis(circuit, basis_input(circuit, address), events)
-    ok_addr = read_register(bits, circuit.reg("address")) == address
-    ok_word = (read_register(bits, circuit.reg("bus"), big_endian=False)
-               == expected_word(circuit, address))
-    return ok_addr and ok_word
 
 
 def _run_trials(circuit: Circuit, locations: list[Location], site_rates: np.ndarray,

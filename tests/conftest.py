@@ -4,7 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qlut.ir import Circuit
 from qlut.params import DataTable, derive_params
+from qlut.simulator import basis_input, expected_word, pack_register, read_register, run_basis
 
 
 def random_table(rng: np.random.Generator, N: int, b: int = 1) -> DataTable:
@@ -47,6 +49,28 @@ def masked_stage2_cells(table: DataTable, params, address: int) -> list[int]:
             continue
         cells[j] = table.bit(params.lam * prefix + j, 0)
     return cells
+
+
+def lookup_target(circuit: Circuit, amplitudes: dict[int, complex]) -> dict[int, complex]:
+    """The ideal post-uncompute state: address and bus set, all else zero."""
+    addr_reg, bus_reg = circuit.reg("address"), circuit.reg("bus")
+    out: dict[int, complex] = {}
+    for bits, amp in amplitudes.items():
+        a = read_register(bits, addr_reg)
+        word = expected_word(circuit, a)
+        key = pack_register(a, addr_reg) | pack_register(word, bus_reg, big_endian=False)
+        out[key] = out.get(key, 0.0) + amp
+    return out
+
+
+def trial_outcome_ok(circuit: Circuit, address: int,
+                     events: dict[int, list[tuple[int, str]]] | None) -> bool:
+    """Basis-address fidelity indicator: measured (address, word) unchanged."""
+    bits, _ = run_basis(circuit, basis_input(circuit, address), events)
+    ok_addr = read_register(bits, circuit.reg("address")) == address
+    ok_word = (read_register(bits, circuit.reg("bus"), big_endian=False)
+               == expected_word(circuit, address))
+    return ok_addr and ok_word
 
 
 @pytest.fixture

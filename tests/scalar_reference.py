@@ -1,25 +1,34 @@
-"""Per-injection and per-trial reference for the lane analyses of
-``qlut.simulator``.
+"""Per-injection, per-trial and per-gate references for the batched paths
+of ``qlut``.
 
 These are the loops the bit-sliced analyses replace: one basis run per
 (site, Pauli) and address, one superposition run per basis-benign
 injection, and one basis run per faulty Monte Carlo trial after a
 per-location sampling loop, over an idle table built one layer at a time.
-They are slow and kept only so the tests can compare the batched
-``containment_experiment``, ``first_order_infidelity``,
-``harmful_weight_by_rate``, ``monte_carlo_infidelity`` and
-``build_location_table`` against them.
+The per-gate loops are the ones the array-speed instance pipeline replaces:
+``emit`` one gate at a time with op lists rebuilt per repetition, link
+classification through ``GridPlacement.distance`` per operand pair, the
+schedule walk over per-qubit dicts, and the gate-list export with one
+join per gate. They are slow and kept only so the tests can compare the
+batched paths against them.
 """
 from __future__ import annotations
 
+import math
+from unittest import mock
+
 import numpy as np
 
-from qlut.ir import Circuit, GateKind
-from qlut.layout import LongRangeLink, long_range_error
-from qlut.params import ErrorRates
+from conftest import trial_outcome_ok
+from qlut import builders
+from qlut.ir import Circuit, CircuitBuilder, Gate, GateKind, Role, Stage
+from qlut.layout import (
+    GridPlacement, LinkResource, LongRangeLink, Schedule, long_range_error,
+)
+from qlut.params import ErrorRates, address_bits
 from qlut.simulator import (
     ContainmentReport, ErrorEvent, Location, TrialResult, run_linear, sparse_overlap,
-    trial_outcome_ok, uniform_address_superposition,
+    uniform_address_superposition,
 )
 
 PAULIS = ("X", "Y", "Z")
@@ -150,3 +159,196 @@ def harmful_weight_by_rate(locations: list[Location],
     for loc, f in zip(locations, fractions):
         slopes[loc.rate_key] = slopes.get(loc.rate_key, 0.0) + f
     return slopes
+
+
+# -- per-gate build, link classification, schedule and export -----------------
+
+class ScalarCircuitBuilder(CircuitBuilder):
+    """The per-gate ``emit`` and ``extend`` that ``CircuitBuilder.emit_ops``
+    replaces: a set for the duplicate check and a generator ``max`` per gate."""
+
+    def emit(self, kind: GateKind, *qubits: int) -> None:
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate operand in {kind}: {qubits}")
+        layer = max(self._frontier[q] for q in qubits)
+        for q in qubits:
+            self._frontier[q] = layer + 1
+        self.gates.append(Gate(kind, tuple(qubits), layer, self.stage, self.rep))
+
+    def emit_ops(self, ops) -> None:
+        for kind, qubits in ops:
+            self.emit(kind, *qubits)
+
+    def extend(self, gates) -> None:
+        for g in gates:
+            layer = max(self._frontier[q] for q in g.qubits)
+            for q in g.qubits:
+                self._frontier[q] = layer + 1
+            self.gates.append(Gate(g.kind, g.qubits, layer, g.stage, g.rep))
+
+
+class ScalarAssembler(builders._Assembler):
+    """The op lists rebuilt for every repetition and every level."""
+
+    def _layer_ops(self, level, w):
+        ops = []
+        for pos in range(1 << level):
+            ops += builders._router_ops(self.router(level, pos, w))
+        return ops
+
+    def _route_to_inputs_ops(self, target_level, w):
+        ops = [(GateKind.SWAP, (self.inputs[w], self.router(0, 0, w).inp))]
+        for lev in range(target_level):
+            ops += self._layer_ops(lev, w)
+            ops += self._transfer_ops(lev, w)
+        return ops
+
+    def _route_to_cells_ops(self, w):
+        p = self.p
+        D = p.tree_depth
+        if D == 0:
+            return [(GateKind.SWAP, (self.inputs[w], self.cells[w][0]))]
+        ops = self._route_to_inputs_ops(D - 1, w)
+        ops += self._layer_ops(D - 1, w)
+        if p.gamma == 1:
+            for j in range(p.lam):
+                ops.append((GateKind.SWAP, (self._port(D - 1, j >> 1, w, j & 1),
+                                            self.cells[w][j])))
+        return ops
+
+    def _load_ops(self, rep, w):
+        p, tab = self.p, self.table
+        ops = []
+        for j in range(p.lam):
+            a = p.lam * rep + j
+            if self.sequential:
+                nodes = [self.cells[w][j]] + self.hubs[j]
+                for bit_w in range(p.b):
+                    if tab.bit(a, bit_w):
+                        ops.append((GateKind.CNOT, (nodes[bit_w // 2], self.regs[j][bit_w])))
+            elif tab.bit(a, w):
+                ops.append((GateKind.CNOT, (self._cell_source(j, w), self.cells[w][j])))
+        return ops
+
+    def stage2(self):
+        b, p = self.b, self.p
+        b.stage = Stage.II
+        sweep = builders._LinearRouterSweep(b, self.addr[:p.d], self.ancs, self.q)
+        for rep in range(p.repetitions):
+            b.rep = rep
+            sweep.advance(address_bits(rep, p.d) if p.d else ())
+            fan = self._fanout_marker_ops()
+            b.emit_ops(fan)
+            for w in range(self.words):
+                seg = self._marker_route_ops(w) + self._diffusion_ops(w)
+                b.emit_ops(seg)
+                b.emit_ops(self._load_ops(rep, w))
+                b.emit_ops(seg[::-1])
+            b.emit_ops(fan[::-1])
+        sweep.advance(None)
+        b.rep = 0
+
+
+def build(builder, *args):
+    """Run a ``qlut.builders`` builder on the per-gate emit and per-use op lists."""
+    with mock.patch.object(builders, "CircuitBuilder", ScalarCircuitBuilder), \
+            mock.patch.object(builders, "_Assembler", ScalarAssembler):
+        return builder(*args)
+
+
+def is_local(placement: GridPlacement, qubits: tuple[int, ...]) -> bool:
+    for pivot in qubits:
+        if all(placement.distance(pivot, q) <= 1 for q in qubits if q != pivot):
+            return True
+    return False
+
+
+def classify_links(circuit: Circuit, placement: GridPlacement, distillation: bool = True,
+                   free_levels: float = 0.0):
+    """One gate at a time, with ``GridPlacement.distance`` per operand pair."""
+    links: list[LongRangeLink] = []
+    by_gate: dict[int, LongRangeLink] = {}
+    for idx, g in enumerate(circuit.gates):
+        if len(g.qubits) < 2 or is_local(placement, g.qubits):
+            continue
+        pairs = [(placement.distance(a, b), a, b)
+                 for i, a in enumerate(g.qubits) for b in g.qubits[i + 1:]]
+        m, src, dst = max(pairs)
+        levels = sorted({circuit.qubits[q].level for q in g.qubits
+                         if circuit.qubits[q].level >= 0})
+        level = levels[0] if len(levels) >= 2 else None
+        if level is not None and level < free_levels:
+            resource = LinkResource.FREE
+        elif distillation:
+            resource = LinkResource.DISTILLED
+        else:
+            resource = LinkResource.GHZ
+        link = LongRangeLink(idx, src, dst, m, level, resource.value)
+        links.append(link)
+        by_gate[idx] = link
+    return links, by_gate
+
+
+def build_schedule(circuit: Circuit, link_by_gate=None,
+                   include_distillation_depth: bool = False) -> Schedule:
+    """The discrete-event walk over per-qubit dicts."""
+    link_by_gate = link_by_gate or {}
+    avail: dict[int, int] = {}
+    first: dict[int, int] = {}
+    busy: dict[int, int] = {}
+    status_role = {q for q, info in enumerate(circuit.qubits)
+                   if info.role == Role.ROUTER_STATUS}
+    addr = set(circuit.reg("address"))
+    inputs = set(circuit.reg("input"))
+    branch_pairs = set()
+    D = circuit.params.tree_depth if circuit.params else 0
+    for level in range(D - 1):
+        parent = circuit.routers[(level, 0, 0)]
+        child = circuit.routers[(level + 1, 0, 0)]
+        branch_pairs.add(frozenset((parent.left, child.inp)))
+    tau: dict[int, int] = {}
+    crossings: dict[int, int] = {level: 0 for level in range(max(0, D - 1))}
+    inject_end = 0
+    total = 0
+    for idx, g in enumerate(circuit.gates):
+        dur = 1
+        link = link_by_gate.get(idx) if include_distillation_depth else None
+        if link is not None and link.resource != LinkResource.FREE.value:
+            dur = max(1, math.ceil(math.log2(max(2, link.m))))
+        t0 = max((avail.get(q, 0) for q in g.qubits), default=0)
+        t1 = t0 + dur
+        total = max(total, t1)
+        for q in g.qubits:
+            avail[q] = t1
+            first.setdefault(q, t0)
+            busy[q] = busy.get(q, 0) + dur
+        if g.kind == GateKind.CNOT and g.qubits[0] in addr and g.qubits[1] in inputs:
+            inject_end = t1
+        if g.kind == GateKind.SWAP and g.qubits[1] in status_role:
+            level = circuit.qubits[g.qubits[1]].level
+            tau[level] = max(tau.get(level, 0), t1 - inject_end)
+        if (g.kind == GateKind.SWAP and g.stage == "I"
+                and frozenset(g.qubits) in branch_pairs):
+            level = min(circuit.qubits[q].level for q in g.qubits)
+            crossings[level] += 1
+    idle = {q: (avail[q] - first[q]) - busy[q] for q in avail}
+    idle = {q: v for q, v in idle.items() if v > 0}
+    return Schedule(total_depth=total, idle=idle, tau=tau, level_crossings=crossings)
+
+
+def export_gate_list(circuit: Circuit, link_by_gate=None) -> str:
+    """One f-string and one join per gate."""
+    lines = []
+    for idx, g in enumerate(circuit.gates):
+        kind = g.kind
+        suffix = ""
+        if link_by_gate and idx in link_by_gate:
+            link = link_by_gate[idx]
+            if kind == GateKind.SWAP:
+                kind = GateKind.LR_SWAP
+            elif kind == GateKind.CNOT:
+                kind = GateKind.LR_CNOT
+            suffix = f" len={link.m}"
+        ids = " ".join(str(q) for q in g.qubits)
+        lines.append(f"LAYER {g.layer} STAGE {g.stage} {kind.value} {ids}{suffix}")
+    return "\n".join(lines) + "\n"

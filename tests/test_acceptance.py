@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import classical_lookup, lam_gamma_grid, random_table
+from conftest import (
+    classical_lookup, lam_gamma_grid, lookup_target, random_table, trial_outcome_ok,
+)
 from qlut import costs
 from qlut.builders import (
     build_lookup, build_reference, build_uncompute, build_unified_lookup,
@@ -21,9 +23,9 @@ from qlut.params import ErrorRates, Readout, derive_params
 from qlut.resources import count_resources
 from qlut.simulator import (
     basis_input, build_location_table, containment_experiment,
-    first_order_infidelity, lookup_target, monte_carlo_infidelity,
+    first_order_infidelity, monte_carlo_infidelity,
     off_path_router_qubits, read_register, run_basis, run_linear,
-    sparse_overlap, trial_outcome_ok, uniform_address_superposition,
+    sparse_overlap, uniform_address_superposition,
 )
 
 SEED = 20260808

@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import classical_lookup, lam_gamma_grid, masked_stage2_cells, random_table
+from conftest import (
+    classical_lookup, lam_gamma_grid, lookup_target, masked_stage2_cells, random_table,
+)
 from dense_oracle import basis_state, overlap, run_dense
 from qlut.builders import (
     ReferenceKind, build_cnot_tree, build_cswap_router, build_linear_router_round,
@@ -13,7 +15,7 @@ from qlut.builders import (
 from qlut.ir import GateKind, Role, Stage, check_layer_disjointness, gate_multiset
 from qlut.params import DataTable, Readout, derive_params
 from qlut.simulator import (
-    basis_input, lookup_target, pack_register, read_register,
+    basis_input, pack_register, read_register,
     run_basis, run_linear, sparse_overlap,
     uniform_address_superposition,
 )

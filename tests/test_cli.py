@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
-from qlut import simulator
+from qlut import costs, simulator
 from qlut.cli import main, parse_sweep_csv, sweep_table_csv, sweep_exponent_table, SweepSpec
+from qlut.params import arch_params_from_json, error_rates_from_json
 
 GOLDEN = Path(__file__).parent / "fixtures" / "n2_gates_golden.txt"
 
@@ -88,6 +90,56 @@ def test_malformed_sweep_value_exits_2(tmp_path, capsys, over):
     cfg.write_text(json.dumps({"kRules": ["Zero"], **over}))
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "config error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_range", [
+    [1e9, 2, 3, 4, 5],
+    [-1, 0, 1, 2, 3],
+    [0, 1, 2, 3, 4],
+    [508, 509, 510, 511, 512],
+], ids=["huge", "negative", "zero", "above-bound"])
+def test_sweep_n_range_out_of_bounds_exits_2(tmp_path, capsys, n_range):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"kRules": ["Zero"], "nRange": n_range}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: nRange" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep_summary.json").exists()
+
+
+@pytest.mark.parametrize("metric", ["InfidelityExponent", "TCountExponent",
+                                    "QubitExponent", "DepthExponent"])
+def test_sweep_largest_n_range_is_finite(tmp_path, metric):
+    # the largest allowed sizes at the largest rates: every metric value of
+    # every (d, d') cell and kRule stays finite, so every fit does too
+    rates = {"epsI": 1.0, "epsQ": 1.0, "epsS": 1.0, "epsCS": 1.0, "epsC": 1.0,
+             "epsCC": 1.0, "epsF": 1.0}
+    fractions = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"nRange": [507, 508, 509, 510, 511], "metric": metric,
+                               "dFractions": fractions, "dPrimeFractions": fractions,
+                               "rates": rates}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    tables = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())["tables"]
+    cells = [v for table in tables.values() for v in table.values()]
+    assert len(tables) == 5 and any(v is not None for v in cells)
+    assert all(v is None or math.isfinite(v) for v in cells)
+
+
+def test_report_closed_form_uses_long_range_budget(tmp_path, capsys):
+    # k > 0: the eps_L terms give way to the budgeted eps_Q coefficient;
+    # k = 0 keeps the general single-bit expression
+    got, params = {}, {}
+    for k in (0, 2):
+        cfg = _write_config(tmp_path, name=f"k{k}.json",
+                            params={"N": 64, "lambda": 64, "gamma": 1, "longRangeBudgetK": k},
+                            rates={"epsQ": 1e-3, "epsF": 1e-2})
+        assert main(["report", "--config", cfg]) == 0
+        got[k] = json.loads(capsys.readouterr().out)["infidelity"]
+        obj = json.loads(Path(cfg).read_text())
+        params[k] = (arch_params_from_json(obj["params"]), error_rates_from_json(obj["rates"]))
+    assert got[0] == costs.general_infidelity(*params[0]).to_json()
+    assert got[2] == costs.budgeted_infidelity(*params[2]).to_json()
+    assert got[2] != got[0] and got[2]["total"] < got[0]["total"]
 
 
 def test_export_gates_matches_golden(tmp_path):

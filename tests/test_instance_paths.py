@@ -1,0 +1,142 @@
+"""The array-speed instance pipeline against its per-gate reference.
+
+``CircuitBuilder.emit_ops`` with the memoised op lists, the numpy link
+classification, the list-based schedule and the cached-string gate export
+must give exactly what the per-gate loops in ``tests/scalar_reference.py``
+give, on every shape with N <= 64 and on the three reference
+architectures.
+"""
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import scalar_reference
+from conftest import lam_gamma_grid, random_table
+from qlut import builders
+from qlut.ir import CircuitBuilder, GateKind, Role, Stage, export_gate_list
+from qlut.layout import GridPlacement, build_schedule, classify_links, place_htree
+from qlut.params import DataTable, Readout, derive_params
+
+WORDS = ((1, Readout.SINGLE_BIT), (2, Readout.PARALLEL), (2, Readout.SEQUENTIAL),
+         (4, Readout.SEQUENTIAL))
+SHAPES = [(N, lam, gamma, b, readout)
+          for N in (1, 2, 4, 8, 16, 32, 64)
+          for lam, gamma in lam_gamma_grid(N)
+          for b, readout in WORDS]
+REFERENCES = [(kind, N) for kind in ("BucketBrigade", "FanOut", "SelectSwap")
+              for N in (2, 4, 8, 16, 32, 64)]
+
+
+def _assert_same_instance(fast, ref):
+    assert fast.gates == ref.gates   # kind, qubits, layer, stage and rep
+    assert fast.qubits == ref.qubits
+    assert fast.registers == ref.registers and fast.routers == ref.routers
+    if fast.meta.get("family") in ("tree", "select_swap"):
+        placement = place_htree(fast)
+        for k in (0, 1, 2):
+            for distillation in (True, False):
+                links, by_gate = classify_links(fast, placement, distillation, k)
+                ref_links, ref_by_gate = scalar_reference.classify_links(
+                    ref, placement, distillation, k)
+                assert links == ref_links
+                assert list(by_gate.items()) == list(ref_by_gate.items())
+                for depth in (False, True):
+                    got = build_schedule(fast, placement, by_gate, depth)
+                    want = scalar_reference.build_schedule(ref, ref_by_gate, depth)
+                    assert got == want
+                    for field in ("idle", "tau", "level_crossings"):
+                        assert list(getattr(got, field)) == list(getattr(want, field))
+                assert (export_gate_list(fast, by_gate)
+                        == scalar_reference.export_gate_list(ref, ref_by_gate))
+    assert export_gate_list(fast) == scalar_reference.export_gate_list(ref)
+    assert (builders.build_uncompute(fast).gates
+            == scalar_reference.build(builders.build_uncompute, ref).gates)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "/".join(map(str, s)))
+@settings(derandomize=True, deadline=None, database=None, max_examples=2)
+@given(data=st.data())
+def test_lookup_matches_per_gate_reference(shape, data):
+    N, lam, gamma, b, readout = shape
+    words = data.draw(st.lists(st.integers(0, (1 << b) - 1), min_size=N, max_size=N))
+    params = derive_params(N, lam, gamma, b, readout)
+    table = DataTable(words=tuple(words), b=b)
+    _assert_same_instance(builders.build_lookup(params, table),
+                          scalar_reference.build(builders.build_lookup, params, table))
+
+
+@pytest.mark.parametrize("kind,N", REFERENCES)
+@settings(derandomize=True, deadline=None, database=None, max_examples=2)
+@given(data=st.data())
+def test_reference_matches_per_gate_reference(kind, N, data):
+    words = data.draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))
+    table = DataTable(words=tuple(words), b=1)
+    _assert_same_instance(builders.build_reference(kind, N, table),
+                          scalar_reference.build(builders.build_reference, kind, N, table))
+
+
+KINDS_OF_ARITY = {1: [GateKind.X], 2: [GateKind.SWAP, GateKind.CNOT],
+                  3: [GateKind.CSWAP, GateKind.CCNOT], 4: [GateKind.CCNOT]}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(data=st.data())
+def test_random_gates_match_per_gate_reference(data):
+    # hand-drawn placements reach what the builders' geometry does not:
+    # equal-distance operand pairs (the (m, source, target) tie-break),
+    # gates with 4 operands and every mix of levels
+    n = data.draw(st.integers(2, 8))
+    cells = data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               min_size=n, max_size=n, unique=True))
+    levels = data.draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    operands = data.draw(st.lists(
+        st.integers(1, min(4, n)).flatmap(
+            lambda k: st.permutations(range(n)).map(lambda p: tuple(p[:k]))),
+        max_size=16))
+    ops = [(data.draw(st.sampled_from(KINDS_OF_ARITY[len(q)])), q) for q in operands]
+    fast, ref = CircuitBuilder(), scalar_reference.ScalarCircuitBuilder()
+    for b in (fast, ref):
+        for level in levels:
+            b.new_qubit(Role.ROUTER_INPUT, level)
+        b.emit_ops(ops)
+    assert fast.gates == ref.gates
+    circuit = fast.build()
+    placement = GridPlacement(coords=dict(enumerate(cells)), bounds=(4, 4))
+    for k in (0, 1, 2):
+        for distillation in (True, False):
+            links, by_gate = classify_links(circuit, placement, distillation, k)
+            ref_links, ref_by_gate = scalar_reference.classify_links(
+                circuit, placement, distillation, k)
+            assert links == ref_links
+            assert list(by_gate.items()) == list(ref_by_gate.items())
+            assert (export_gate_list(circuit, by_gate)
+                    == scalar_reference.export_gate_list(circuit, ref_by_gate))
+
+
+def test_schedule_counts_branch_swaps_in_either_operand_order(rng):
+    # a Stage-I transfer along the canonical branch counts as a level
+    # crossing whichever operand comes first
+    circ = builders.build_unified_lookup(derive_params(16, 16, 1), random_table(rng, 16))
+    b = CircuitBuilder(circ.params, circ.table)
+    b.qubits, b.registers, b.routers = list(circ.qubits), circ.registers, circ.routers
+    b._frontier = [0] * circ.n_qubits
+    b.extend(circ.gates)
+    parent, child = circ.routers[(1, 0, 0)], circ.routers[(2, 0, 0)]
+    b.stage = Stage.I
+    b.emit(GateKind.SWAP, child.inp, parent.left)
+    b.emit(GateKind.SWAP, parent.left, child.inp)
+    swapped = b.build()
+    got = build_schedule(swapped)
+    assert got == scalar_reference.build_schedule(swapped)
+    assert got.level_crossings[1] == build_schedule(circ).level_crossings[1] + 2
+
+
+@pytest.mark.parametrize("qubits", [(0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 1)])
+def test_repeated_operand_raises(qubits):
+    kind = GateKind.CNOT if len(qubits) == 2 else GateKind.CSWAP
+    for emit in (lambda b: b.emit(kind, *qubits), lambda b: b.emit_ops([(kind, qubits)])):
+        b = CircuitBuilder()
+        for _ in range(2):
+            b.new_qubit(Role.INPUT)
+        with pytest.raises(ValueError, match="duplicate operand"):
+            emit(b)
+        assert b.gates == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
-from conftest import lam_gamma_grid, random_table
+from conftest import lam_gamma_grid, random_table, trial_outcome_ok
 from dense_oracle import basis_state, run_dense
 from qlut import simulator
 from qlut.builders import build_lookup, build_reference, build_unified_lookup
@@ -17,7 +17,7 @@ from qlut.simulator import (
     basis_input, build_location_table, containment_experiment,
     first_order_infidelity, harmful_weight_by_rate, inject_and_simulate,
     monte_carlo_infidelity, off_path_router_qubits, query_path_routers, run_basis,
-    run_linear, sparse_overlap, trial_outcome_ok, uniform_address_superposition,
+    run_linear, sparse_overlap, uniform_address_superposition,
 )
 
 
