@@ -20,8 +20,7 @@ from .params import (
 )
 from .resources import count_resources
 from .simulator import (
-    containment_experiment, inject_and_simulate, monte_carlo_infidelity,
-    run_basis, run_linear,
+    containment_experiment, monte_carlo_infidelity, run_basis, run_linear,
 )
 
 __version__ = "0.1.0"

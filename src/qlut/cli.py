@@ -6,6 +6,7 @@ All emissions are byte-deterministic given the config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -63,6 +64,10 @@ class SweepSpec:
         if not all(1 <= n <= _MAX_SWEEP_N for n in self.n_range):
             raise ConfigError(
                 f"nRange sizes n = log2 N must lie in [1, {_MAX_SWEEP_N}], got {self.n_range}")
+        for name, fractions in (("dFractions", self.d_fractions),
+                                ("dPrimeFractions", self.d_prime_fractions)):
+            if not all(0.0 <= f <= 1.0 for f in fractions):
+                raise ConfigError(f"{name} must lie in [0, 1], got {fractions}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "SweepSpec":
@@ -371,9 +376,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handlers = {
         "report": cmd_report,
         "sweep": cmd_sweep,

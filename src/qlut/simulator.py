@@ -17,11 +17,22 @@ address as a second); ``first_order_infidelity`` and
 ``harmful_weight_by_rate`` run locations x qubits x Paulis x addresses as
 lanes; ``lookup_correct`` runs every address as one pass. A pass carries at
 most ``_MAX_LANES`` lanes.
+
+The Monte Carlo samples a merged site table, built once per call as numpy
+arrays: one row per gate or link site and one per idle run, a run of k idle
+layers firing with the composed probability 3/4 (1 - (1 - 4p/3)^k). Its
+trials come in blocks of ``_BLOCK``, each drawn from its own (seed, block)
+generator by skip sampling per (rate, arity) group, so a block costs
+O(hits), not O(sites x trials), and trial t depends on (seed, t // _BLOCK)
+and t % _BLOCK alone.
 """
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -239,136 +250,292 @@ class TrialResult:
     events: list[ErrorEvent] = field(default_factory=list)
 
 
+def _gate_sites(circuit: Circuit, rates: ErrorRates,
+                link_by_gate: dict[int, LongRangeLink]) -> tuple[list[int], list[str], list[float]]:
+    """(gate index, rate key, rate) of every gate and link site, in gate
+    order; zero-rate sites are dropped."""
+    local = {kind: (key, getattr(rates, key)) for kind, key in _GATE_RATE_KEY.items()}
+    link_rate: dict[tuple[int, str], float] = {}   # a link's rate is set by (m, resource)
+    index, keys, values = [], [], []
+    for idx, g in enumerate(circuit.gates):
+        link = link_by_gate.get(idx)
+        if link is None:
+            key, rate = local.get(g.kind, (None, 0.0))
+        else:
+            key, rate = "eps_l", link_rate.get((link.m, link.resource))
+            if rate is None:
+                rate = link_rate[link.m, link.resource] = long_range_error(link, rates)
+        if rate > 0:
+            index.append(idx)
+            keys.append(key)
+            values.append(rate)
+    return index, keys, values
+
+
+def _operands(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gate list as arrays: per gate its arity and layer, and every
+    operand's qubit, gate by gate."""
+    gates = circuit.gates
+    arity = np.fromiter(map(len, map(itemgetter(1), gates)), np.int64, len(gates))
+    layer = np.fromiter(map(itemgetter(2), gates), np.int64, len(gates))
+    qubit = np.fromiter(chain.from_iterable(map(itemgetter(1), gates)), np.int64,
+                        int(arity.sum()))
+    return arity, layer, qubit
+
+
+def _idle_runs(arity: np.ndarray, layer: np.ndarray,
+               qubit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(qubit, slot, layers) of every idle run, by qubit and then layer.
+
+    Per qubit, program order is layer order (the builders lay gates out as
+    soon as possible), so the idle layers between two consecutive gates on a
+    qubit form one run, charged before the later gate.
+    """
+    gate = np.repeat(np.arange(len(arity)), arity)
+    order = np.argsort(qubit, kind="stable")
+    q, g, t = qubit[order], gate[order], np.repeat(layer, arity)[order]
+    gap = t[1:] - t[:-1] - 1
+    run = (q[1:] == q[:-1]) & (gap > 0)
+    return q[1:][run], g[1:][run], gap[run]
+
+
 def build_location_table(
     circuit: Circuit,
     rates: ErrorRates,
     link_by_gate: dict[int, LongRangeLink] | None = None,
 ) -> list[Location]:
-    """All fault sites with their firing rates.
+    """All fault sites with their firing rates, one per idle layer.
 
     Long-range-flagged gates draw from their link's error
     (:func:`layout.long_range_error`) instead of their local gate rate; a
     firing link hits one endpoint. Each layer a qubit sits idle between two
-    of its gates is one ``eps_i`` site charged before the later gate; sites
-    come gate sites first, then idle sites by qubit and layer. Zero-rate
-    sites are dropped.
+    of its gates is one ``eps_i`` site charged before the later gate (a run
+    of k idle layers repeats one site k times); sites come gate sites first,
+    then idle sites by qubit and layer. Zero-rate sites are dropped. The
+    Monte Carlo merges each idle run into one site (:func:`_site_table`).
     """
-    locs: list[Location] = []
-    link_by_gate = link_by_gate or {}
-    for idx, g in enumerate(circuit.gates):
-        if idx in link_by_gate:
-            rate = long_range_error(link_by_gate[idx], rates)
-            if rate > 0:
-                locs.append(Location(idx, g.qubits, "eps_l", rate, idx))
-            continue
-        key = _GATE_RATE_KEY.get(g.kind)
-        if key is None:
-            continue
-        rate = getattr(rates, key)
-        if rate > 0:
-            locs.append(Location(idx, g.qubits, key, rate, idx))
+    gates = circuit.gates
+    locs = [Location(idx, gates[idx].qubits, key, rate, idx)
+            for idx, key, rate in zip(*_gate_sites(circuit, rates, link_by_gate or {}))]
     if rates.eps_i > 0:
-        # per qubit, program order is layer order (the builders lay gates
-        # out as soon as possible), so the idle layers between two
-        # consecutive gates on a qubit form one run ending at the later gate
-        touches = _gate_touches(circuit)
-        for q in sorted(touches):
-            (layer, _), *rest = touches[q]
-            for nxt, idx in rest:
-                if nxt - layer > 1:
-                    locs += [Location(idx, (q,), "eps_i", rates.eps_i)] * (nxt - layer - 1)
-                layer = nxt
+        for q, slot, k in zip(*(a.tolist() for a in _idle_runs(*_operands(circuit)))):
+            locs += [Location(slot, (q,), "eps_i", rates.eps_i)] * k
     return locs
 
 
-def _gate_touches(circuit: Circuit) -> dict[int, list[tuple[int, int]]]:
-    """Per qubit: (layer, gate index) of every gate touching it, in order."""
-    touches: dict[int, list[tuple[int, int]]] = {}
-    for idx, g in enumerate(circuit.gates):
-        for q in g.qubits:
-            touches.setdefault(q, []).append((g.layer, idx))
-    return touches
+def _idle_run_rate(p: float, layers: int) -> float:
+    """Firing probability of ``layers`` idle layers at rate ``p`` as one site.
 
-
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
-
-
-def _rate_array(locations: list[Location]) -> np.ndarray:
-    return np.fromiter((loc.rate for loc in locations), np.float64, len(locations))
-
-
-def sample_events(locations: list[Location], site_rates: np.ndarray,
-                  rng: np.random.Generator) -> list[ErrorEvent]:
-    """Independent per-location firing; uniform Pauli on a uniform operand.
-
-    ``site_rates`` is the table's rate array (:func:`_rate_array`). One
-    uniform per location decides which locations fire; each firing location
-    then draws its operand and its Pauli, in table order.
+    One idle layer applies X, Y or Z with probability p/3 each; k of them in
+    a row compose to the identity with weight (1 + 3 (1 - 4p/3)^k) / 4 and to
+    each Pauli with an equal share of the rest. Only the product of a run's
+    Paulis reaches the output, so the run is one site firing with
+    probability 3/4 (1 - (1 - 4p/3)^k), then a uniform Pauli.
     """
-    events: list[ErrorEvent] = []
-    for i in np.flatnonzero(rng.random(len(locations)) < site_rates).tolist():
-        loc = locations[i]
-        q = loc.qubits[rng.integers(len(loc.qubits))]
-        events.append(ErrorEvent(loc.slot, q, _PAULIS[rng.integers(3)], loc.rate_key))
-    events.sort(key=lambda e: e.slot)
-    return events
+    return 0.75 * (1.0 - (1.0 - p / 0.75) ** layers)
 
 
-def _run_trials(circuit: Circuit, locations: list[Location], site_rates: np.ndarray,
-                seed: int, trials: range, address: int | None) -> list[TrialResult]:
-    """Sample ``trials`` and run the faulty ones as the lanes of one pass.
+class _SiteTable(NamedTuple):
+    """The Monte Carlo's fault sites as arrays, grouped by (rate, arity).
 
-    Trial t draws from its own (seed, t) generator: its address first,
-    unless fixed, then its events. Only bit flips change a basis query's
-    measured (address, word), so a lane's faults are one flip mask per
-    (slot, qubit): the XOR of its X and Y events there, as two flips in one
-    trial cancel. Z events and the phase are not tracked.
+    Row i is a gate or link site (in gate order) or an idle run (by qubit and
+    layer): it fires with probability ``rate[i]`` before gate ``slot[i]`` and
+    then hits one of its first ``arity[i]`` ``operands`` with X, Y or Z.
+    ``rows[start[g]:start[g] + size[g]]`` are the rows of group g, in order;
+    ``p[g]`` and ``variants[g]`` (3 x arity) are its rate and its number of
+    (operand, Pauli) outcomes.
     """
-    results = []
-    for t in trials:
-        rng = _trial_rng(seed, t)
-        a = int(rng.integers(circuit.params.N)) if address is None else address
-        results.append(TrialResult(True, a, sample_events(locations, site_rates, rng)))
-    faulty = [r for r in results if r.events]
-    if not faulty:
-        return results
-    flips: dict[tuple[int, int], int] = {}
-    for lane, r in enumerate(faulty):
-        for e in r.events:
-            if e.pauli != "Z":
-                flips[e.slot, e.qubit] = flips.get((e.slot, e.qubit), 0) ^ 1 << lane
-    faults: LaneFaults = {}
-    for (slot, q), x in flips.items():
-        faults.setdefault(slot, []).append((q, x, 0, 0))
+    slot: np.ndarray
+    operands: np.ndarray
+    arity: np.ndarray
+    keys: list[str]
+    rate: np.ndarray
+    rows: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    p: np.ndarray
+    variants: np.ndarray
+
+
+def _site_table(circuit: Circuit, rates: ErrorRates,
+                link_by_gate: dict[int, LongRangeLink] | None = None) -> _SiteTable:
+    """:func:`build_location_table`'s sites with each idle run merged into one
+    row at :func:`_idle_run_rate`."""
+    index, keys, values = _gate_sites(circuit, rates, link_by_gate or {})
+    arity, layer, qubit = _operands(circuit)
+    gate = np.asarray(index, dtype=np.int64)
+    site_arity = arity[gate]
+    width = int(site_arity.max(initial=1))
+    operands = np.full((len(gate), width), -1, dtype=np.int64)
+    first = (np.cumsum(arity) - arity)[gate]
+    for j in range(width):
+        has = site_arity > j
+        operands[has, j] = qubit[first[has] + j]
+    slot, rate = gate, np.asarray(values, dtype=np.float64)
+    if rates.eps_i > 0:
+        run_q, run_slot, run_k = _idle_runs(arity, layer, qubit)
+        idle = np.full((len(run_q), width), -1, dtype=np.int64)
+        idle[:, 0] = run_q
+        slot = np.concatenate([slot, run_slot])
+        operands = np.concatenate([operands, idle])
+        site_arity = np.concatenate([site_arity, np.ones(len(run_q), dtype=np.int64)])
+        keys = keys + ["eps_i"] * len(run_q)
+        lengths, length_of = np.unique(run_k, return_inverse=True)
+        run_rate = np.array([_idle_run_rate(rates.eps_i, k) for k in lengths.tolist()])
+        rate = np.concatenate([rate, run_rate[length_of]])
+    rows = np.lexsort((site_arity, rate))
+    r, a = rate[rows], site_arity[rows]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (r[1:] != r[:-1]) | (a[1:] != a[:-1])
+    start = np.flatnonzero(new)
+    size = np.diff(np.r_[start, len(rows)])
+    return _SiteTable(slot, operands, site_arity, keys, rate, rows, start, size,
+                      r[start], 3 * a[start])
+
+
+# -- the Monte Carlo stream -----------------------------------------------------
+
+#: trials per block of the Monte Carlo stream. Trial t is trial t % _BLOCK of
+#: block t // _BLOCK, and a block's draws come from its own (seed, block)
+#: generator, so a trial's address, events and outcome do not depend on the
+#: number of trials, the order of blocks or how a run is split into calls.
+#: Large enough that a block's fixed costs (a generator, a few numpy calls)
+#: vanish per trial, small enough that a short run samples few unused trials.
+_BLOCK = 1 << 10
+
+
+def _block_rng(seed: int, block: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, block)))
+
+
+def _block_draws(table: _SiteTable, N: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, ...]:
+    """One block's addresses and fault hits, from the block's generator.
+
+    Draws one uniform address per trial, then the hits of every group by
+    skip sampling: the gaps between a group's hits along its _BLOCK x size
+    cells (trial-major, cell = trial x size + member) are geometric, which
+    is exactly independent per-cell firing, at a cost of O(hits). Each round
+    draws ``ceil(mu + 6 sqrt(mu) + 8)`` gaps for every group whose cells are
+    not yet covered (mu: its expected hits), as one call. Then one draw per
+    hit picks its (operand, Pauli) variant. Returns the addresses and, per
+    hit in draw order, its trial, row, operand and Pauli index.
+    """
+    addresses = rng.integers(N, size=_BLOCK)
+    cells = _BLOCK * table.size
+    mean = cells * table.p
+    batch = np.ceil(mean + 6 * np.sqrt(mean) + 8).astype(np.int64)
+    reached = np.zeros(len(cells), dtype=np.int64)   # first cell not yet sampled
+    groups, hit_cells = [], []
+    active = np.arange(len(cells))
+    while len(active):
+        n = batch[active]
+        group = np.repeat(active, n)
+        gaps = rng.geometric(table.p[group])
+        ends = np.cumsum(n)
+        total = np.cumsum(gaps)
+        sums = np.add.reduceat(gaps, ends - n)   # per active group
+        cell = reached[group] + total - np.repeat(total[ends - 1] - sums, n) - 1
+        inside = cell < cells[group]
+        groups.append(group[inside])
+        hit_cells.append(cell[inside])
+        reached[active] += sums
+        active = active[reached[active] < cells[active]]
+    group = np.concatenate(groups) if groups else np.zeros(0, dtype=np.int64)
+    cell = np.concatenate(hit_cells) if hit_cells else np.zeros(0, dtype=np.int64)
+    variant = rng.integers(table.variants[group])
+    size = table.size[group]
+    row = table.rows[table.start[group] + cell % size]
+    return addresses, cell // size, row, table.operands[row, variant // 3], variant % 3
+
+
+def _lane_planes(values: np.ndarray, reg: tuple[int, ...], big_endian: bool,
+                 planes: list[int]) -> None:
+    """Set planes[reg[i]] to the lanes whose value has register bit i set."""
+    width = len(reg)
+    for i, q in enumerate(reg):
+        shift = (width - 1 - i) if big_endian else i
+        bits = np.packbits((values >> shift & 1).astype(np.uint8), bitorder="little")
+        planes[q] = int.from_bytes(bits.tobytes(), "little")
+
+
+def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: int, hi: int,
+               address: int | None, with_events: bool):
+    """Trials block x _BLOCK + [lo, hi) of the stream: (addresses, ok, events).
+
+    The whole block is drawn (:func:`_block_draws`); the range's trials with
+    a bit flip run as the lanes of passes of at most ``_MAX_LANES``. Only bit
+    flips change a basis query's measured (address, word), so a lane's faults
+    are one flip mask per (slot, qubit): the XOR of its X and Y hits there,
+    as two flips in one trial cancel. Z hits and the phase are not tracked.
+    ``events[i]`` lists trial lo + i's hits as :class:`ErrorEvent`, ordered
+    by slot and then site, when ``with_events`` is set (else None).
+    """
+    addresses, trial, row, qubit, pauli = _block_draws(table, circuit.params.N,
+                                                       _block_rng(seed, block))
+    addresses = addresses[lo:hi] if address is None else np.full(hi - lo, address)
+    mine = (trial >= lo) & (trial < hi)
+    trial, row, qubit, pauli = trial[mine] - lo, row[mine], qubit[mine], pauli[mine]
+    slot = table.slot[row]
+    order = np.lexsort((row, slot, trial))
+    trial, row, qubit, pauli, slot = (x[order] for x in (trial, row, qubit, pauli, slot))
+    ok = np.ones(hi - lo, dtype=bool)
+    flip = pauli != 2
+    faulty, lane = np.unique(trial[flip], return_inverse=True)
+    flip_slot, flip_qubit = slot[flip], qubit[flip]
     n = circuit.n_qubits
-    planes = _transpose([basis_input(circuit, r.address) for r in faulty], n)
-    wanted = _transpose([_answer(circuit, r.address) for r in faulty], n)
-    run_lanes(circuit, planes, len(faulty), faults)
-    wrong = 0
-    for q in circuit.reg("address") + circuit.reg("bus"):
-        wrong |= planes[q] ^ wanted[q]
-    for r, bad in zip(faulty, _lane_bits(wrong, len(faulty)).tolist()):
-        r.ok = not bad
-    return results
+    checked = circuit.reg("address") + circuit.reg("bus")
+    words = np.asarray(circuit.table.words, dtype=np.int64)
+    for first in range(0, len(faulty), _MAX_LANES):
+        lane_trials = faulty[first:first + _MAX_LANES]
+        lanes = len(lane_trials)
+        a, b = np.searchsorted(lane, (first, first + lanes))
+        flips: dict[tuple[int, int], int] = {}
+        for s, q, i in zip(flip_slot[a:b].tolist(), flip_qubit[a:b].tolist(),
+                           (lane[a:b] - first).tolist()):
+            flips[s, q] = flips.get((s, q), 0) ^ 1 << i
+        faults: LaneFaults = {}
+        for (s, q), x in flips.items():
+            faults.setdefault(s, []).append((q, x, 0, 0))
+        queried = addresses[lane_trials]
+        planes = [0] * n
+        _lane_planes(queried, circuit.reg("address"), True, planes)
+        wanted = planes.copy()
+        _lane_planes(words[queried], circuit.reg("bus"), False, wanted)
+        run_lanes(circuit, planes, lanes, faults)
+        wrong = 0
+        for q in checked:
+            wrong |= planes[q] ^ wanted[q]
+        ok[lane_trials] = _lane_bits(wrong, lanes) == 0
+    events = None
+    if with_events:
+        events = [[] for _ in range(hi - lo)]
+        keys = table.keys
+        for t, s, q, p, r in zip(trial.tolist(), slot.tolist(), qubit.tolist(),
+                                 pauli.tolist(), row.tolist()):
+            events[t].append(ErrorEvent(s, q, _PAULIS[p], keys[r]))
+    return addresses, ok, events
 
 
-def inject_and_simulate(
-    circuit: Circuit,
-    rates: ErrorRates,
-    seed: int,
-    trial: int = 0,
-    address: int | None = None,
-    locations: list[Location] | None = None,
-) -> TrialResult:
-    """One noisy trial with a deterministic per-trial seed (seed, trial).
+def _run_trials(circuit: Circuit, table: _SiteTable, seed: int, trials: range,
+                address: int | None,
+                on_trial: Callable[[int, TrialResult], None] | None) -> int:
+    """Run the stream's ``trials`` block by block; returns the failures.
 
-    Long-range links are charged only through a supplied ``locations`` table.
+    ``on_trial(t, result)`` sees every trial, in order.
     """
-    if locations is None:
-        locations = build_location_table(circuit, rates)
-    return _run_trials(circuit, locations, _rate_array(locations), seed,
-                       range(trial, trial + 1), address)[0]
+    failures = 0
+    for block in range(trials.start // _BLOCK, -(-trials.stop // _BLOCK)):
+        lo = max(trials.start - block * _BLOCK, 0)
+        hi = min(trials.stop - block * _BLOCK, _BLOCK)
+        addresses, ok, events = _run_block(circuit, table, seed, block, lo, hi, address,
+                                           on_trial is not None)
+        failures += int(np.count_nonzero(~ok))
+        if on_trial is not None:
+            t0 = block * _BLOCK + lo
+            for i, (a, good) in enumerate(zip(addresses.tolist(), ok.tolist())):
+                on_trial(t0 + i, TrialResult(good, a, events[i]))
+    return failures
 
 
 def monte_carlo_infidelity(
@@ -382,23 +549,17 @@ def monte_carlo_infidelity(
 ) -> dict:
     """Mean failure rate over basis-address queries with binomial stderr.
 
-    Trials run in blocks of at most ``_MAX_LANES``, the faulty trials of a
-    block as the lanes of one pass; trial t's events and outcome depend on
-    (seed, t) alone. ``on_trial(t, result)`` sees every trial, in order,
-    e.g. to log it.
+    Trials are drawn in blocks of ``_BLOCK`` from a (seed, block) generator
+    over the merged site table, each block's faulty trials run as the lanes
+    of one pass; trial t's address, events and outcome depend on
+    (seed, t // _BLOCK) and t % _BLOCK alone. A fixed ``address`` replaces
+    the drawn one. ``on_trial(t, result)`` sees every trial, in order, e.g.
+    to log it.
     """
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
-    locations = build_location_table(circuit, rates, link_by_gate)
-    site_rates = _rate_array(locations)
-    failures = 0
-    for start in range(0, trials, _MAX_LANES):
-        block = range(start, min(start + _MAX_LANES, trials))
-        for t, r in zip(block, _run_trials(circuit, locations, site_rates, seed, block,
-                                           address)):
-            failures += 0 if r.ok else 1
-            if on_trial is not None:
-                on_trial(t, r)
+    table = _site_table(circuit, rates, link_by_gate)
+    failures = _run_trials(circuit, table, seed, range(trials), address, on_trial)
     p = failures / trials
     stderr = float(np.sqrt(p * (1.0 - p) / trials))
     return {"infidelity": p, "stderr": stderr, "trials": trials, "failures": failures}

@@ -4,7 +4,8 @@ of ``qlut``.
 These are the loops the bit-sliced analyses replace: one basis run per
 (site, Pauli) and address, one superposition run per basis-benign
 injection, and one basis run per faulty Monte Carlo trial after a
-per-location sampling loop, over an idle table built one layer at a time.
+per-site loop over the block stream's hits, with the idle runs merged from
+a table built one layer at a time.
 The per-gate loops are the ones the array-speed instance pipeline replaces:
 ``emit`` one gate at a time with op lists rebuilt per repetition, link
 classification through ``GridPlacement.distance`` per operand pair, the
@@ -20,7 +21,7 @@ from unittest import mock
 import numpy as np
 
 from conftest import trial_outcome_ok
-from qlut import builders
+from qlut import builders, simulator
 from qlut.ir import Circuit, CircuitBuilder, Gate, GateKind, Role, Stage
 from qlut.layout import (
     GridPlacement, LinkResource, LongRangeLink, Schedule, long_range_error,
@@ -87,33 +88,89 @@ def location_table(circuit: Circuit, rates: ErrorRates,
     return locs
 
 
-def sample_events(locations: list[Location], rng) -> list[ErrorEvent]:
-    events: list[ErrorEvent] = []
-    if not locations:
-        return events
-    draws = rng.random(len(locations))
-    for loc, u in zip(locations, draws):
-        if u < loc.rate:
-            q = loc.qubits[rng.integers(len(loc.qubits))]
-            pauli = PAULIS[rng.integers(3)]
-            events.append(ErrorEvent(loc.slot, q, pauli, loc.rate_key))
-    events.sort(key=lambda e: e.slot)
-    return events
+def site_table(circuit: Circuit, rates: ErrorRates,
+               link_by_gate: dict[int, LongRangeLink] | None = None) -> list[Location]:
+    """The Monte Carlo's sites: the per-layer table with each idle run (the
+    repeated idle entries of one qubit before one gate) as one site firing
+    with probability 3/4 (1 - (1 - 4p/3)^k)."""
+    runs: list[list] = []
+    for loc in location_table(circuit, rates, link_by_gate):
+        if loc.rate_key == "eps_i" and runs and runs[-1][0] == loc:
+            runs[-1][1] += 1
+        else:
+            runs.append([loc, 1])
+    return [Location(loc.slot, loc.qubits, loc.rate_key,
+                     0.75 * (1.0 - (1.0 - loc.rate / 0.75) ** k) if loc.rate_key == "eps_i"
+                     else loc.rate, loc.gate_index)
+            for loc, k in runs]
 
 
-def trials(circuit: Circuit, locations: list[Location], count: int, seed: int,
+def block_hits(sites: list[Location], block_size: int, N: int,
+               rng) -> tuple[list[int], dict[tuple[int, int], tuple[int, str]]]:
+    """One block's addresses and hits, {(trial, site index): (qubit, Pauli)}.
+
+    Groups are the sites of one (rate, arity), in ascending order; a group's
+    cells are trial x group size + member. Each round draws, for every group
+    whose cells are not yet covered, ceil(mu + 6 sqrt(mu) + 8) geometric gaps
+    between its hits (mu: its expected hits); then one (operand, Pauli)
+    variant per hit, operand x 3 + Pauli.
+    """
+    addresses = rng.integers(N, size=block_size).tolist()
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i, site in enumerate(sites):
+        groups.setdefault((site.rate, len(site.qubits)), []).append(i)
+    ordered = sorted(groups.items())
+    cells = [block_size * len(rows) for _, rows in ordered]
+    batch = []
+    for ((rate, _), _), count in zip(ordered, cells):
+        mean = count * rate
+        batch.append(math.ceil(mean + 6 * math.sqrt(mean) + 8))
+    reached = [0] * len(ordered)
+    found = []   # (group, cell)
+    active = list(range(len(ordered)))
+    while active:
+        gaps = rng.geometric(np.array([ordered[g][0][0] for g in active
+                                       for _ in range(batch[g])])).tolist()
+        for g in active:
+            for _ in range(batch[g]):
+                reached[g] += gaps.pop(0)
+                if reached[g] <= cells[g]:
+                    found.append((g, reached[g] - 1))
+        active = [g for g in active if reached[g] < cells[g]]
+    variants = rng.integers(np.array([3 * ordered[g][0][1] for g, _ in found],
+                                     dtype=np.int64)).tolist()
+    hits = {}
+    for (g, cell), variant in zip(found, variants):
+        rows = ordered[g][1]
+        trial, member = divmod(cell, len(rows))
+        site = sites[rows[member]]
+        hits[trial, rows[member]] = (site.qubits[variant // 3], PAULIS[variant % 3])
+    return addresses, hits
+
+
+def trials(circuit: Circuit, sites: list[Location], count: int, seed: int,
            address: int | None = None) -> list[tuple[int, TrialResult]]:
-    """The Monte Carlo stream: (t, result) per trial, one basis run each."""
+    """The Monte Carlo stream: (t, result) per trial, from a per-site loop
+    over the merged sites and one basis run each. Block k of
+    ``simulator._BLOCK`` trials draws from the (seed, k) generator."""
+    size = simulator._BLOCK
     out = []
-    for t in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, t)))
-        a = int(rng.integers(circuit.params.N)) if address is None else address
-        events = sample_events(locations, rng)
-        by_slot: dict[int, list[tuple[int, str]]] = {}
-        for e in events:
-            by_slot.setdefault(e.slot, []).append((e.qubit, e.pauli))
-        ok = True if not events else trial_outcome_ok(circuit, a, by_slot)
-        out.append((t, TrialResult(ok=ok, address=a, events=events)))
+    for block in range(-(-count // size)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, block)))
+        addresses, hits = block_hits(sites, size, circuit.params.N, rng)
+        for t in range(min(size, count - block * size)):
+            events = []
+            for i, site in enumerate(sites):
+                if (t, i) in hits:
+                    q, pauli = hits[t, i]
+                    events.append(ErrorEvent(site.slot, q, pauli, site.rate_key))
+            events.sort(key=lambda e: e.slot)
+            by_slot: dict[int, list[tuple[int, str]]] = {}
+            for e in events:
+                by_slot.setdefault(e.slot, []).append((e.qubit, e.pauli))
+            a = addresses[t] if address is None else address
+            ok = True if not events else trial_outcome_ok(circuit, a, by_slot)
+            out.append((block * size + t, TrialResult(ok=ok, address=a, events=events)))
     return out
 
 

@@ -1,9 +1,11 @@
 import itertools
+import random
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import binomtest
 
 import scalar_reference
 from conftest import lam_gamma_grid, random_table, trial_outcome_ok
@@ -15,9 +17,9 @@ from qlut.layout import classify_links, long_range_error, place_htree
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.simulator import (
     basis_input, build_location_table, containment_experiment,
-    first_order_infidelity, harmful_weight_by_rate, inject_and_simulate,
-    monte_carlo_infidelity, off_path_router_qubits, query_path_routers, run_basis,
-    run_linear, sparse_overlap, uniform_address_superposition,
+    first_order_infidelity, harmful_weight_by_rate, monte_carlo_infidelity,
+    off_path_router_qubits, query_path_routers, run_basis, run_linear, sparse_overlap,
+    uniform_address_superposition,
 )
 
 
@@ -27,16 +29,42 @@ def test_noiseless_monte_carlo_is_zero(rng):
     assert out["infidelity"] == 0.0 and out["stderr"] == 0.0
 
 
-def test_trial_stream_deterministic(rng):
+def _stream(circ, table, seed, *ranges):
+    """(t, ok, address, events) of the trials of ``ranges``, one call each,
+    sorted by trial."""
+    got = []
+    for trials in ranges:
+        simulator._run_trials(circ, table, seed, trials, None,
+                              lambda t, r: got.append((t, r.ok, r.address, r.events)))
+    return sorted(got, key=lambda row: row[0])
+
+
+def test_trial_stream_is_blockwise(rng):
+    # trial t depends on (seed, t // _BLOCK) and t % _BLOCK alone: blocks run
+    # in any order and runs split at any trial give the same stream
     circ = build_unified_lookup(derive_params(4, 2, 1), random_table(rng, 4))
-    rates = ErrorRates(eps_cs=0.05, eps_s=0.02, eps_l=0.0)
-    runs1 = [inject_and_simulate(circ, rates, seed=42, trial=t) for t in range(50)]
-    runs2 = [inject_and_simulate(circ, rates, seed=42, trial=t) for t in reversed(range(50))]
-    runs2.reverse()
-    assert [(r.ok, r.address, r.events) for r in runs1] == \
-           [(r.ok, r.address, r.events) for r in runs2]
-    runs3 = [inject_and_simulate(circ, rates, seed=43, trial=t) for t in range(50)]
-    assert [(r.address, r.events) for r in runs1] != [(r.address, r.events) for r in runs3]
+    rates = ErrorRates(eps_cs=0.05, eps_s=0.02, eps_i=0.02, eps_l=0.0)
+    table = simulator._site_table(circ, rates)
+    size, count = simulator._BLOCK, 5050
+    whole = _stream(circ, table, 42, range(count))
+    assert [row[0] for row in whole] == list(range(count))
+    assert _stream(circ, table, 42, range(50), range(50, count)) == whole
+    blocks = [range(start, min(start + size, count)) for start in range(0, count, size)]
+    assert len(blocks) > 2
+    random.Random(7).shuffle(blocks)
+    assert _stream(circ, table, 42, *blocks) == whole
+    logged = []
+    summary = monte_carlo_infidelity(circ, rates, 50, 42,
+                                     on_trial=lambda t, r: logged.append((t, r.ok, r.address,
+                                                                          r.events)))
+    assert logged == whole[:50]
+    assert summary["failures"] == sum(1 for row in logged if not row[1])
+    # a merged idle run shows at most one hit per trial
+    for _, _, _, events in whole:
+        idle = [(e.slot, e.qubit) for e in events if e.rate_key == "eps_i"]
+        assert len(idle) == len(set(idle))
+    other = _stream(circ, table, 43, range(count))
+    assert [row[2:] for row in other] != [row[2:] for row in whole]
 
 
 def test_location_table_counts(rng):
@@ -98,7 +126,10 @@ def test_link_location_rate_is_long_range_error(rates, distillation, free_levels
 
 
 def test_single_error_first_order_consistency(rng):
-    # Monte Carlo slope vs exhaustive enumeration, one rate at a time
+    # Monte Carlo vs exhaustive first-order enumeration, one rate at a time,
+    # over the sites the Monte Carlo samples: an idle run of k layers is one
+    # site at its composed rate 3/4 (1 - (1 - 4 delta/3)^k), not k sites at
+    # delta
     circ = build_unified_lookup(derive_params(4, 2, 1), random_table(rng, 4))
     delta, trials = 2e-3, 40000
     for key in ("eps_s", "eps_cs", "eps_c", "eps_cc", "eps_i"):
@@ -106,8 +137,7 @@ def test_single_error_first_order_consistency(rng):
         locs = build_location_table(circ, rates)
         if not locs:
             continue
-        slopes = harmful_weight_by_rate(circ, locs)
-        expect = delta * slopes.get(key, 0.0)
+        expect = first_order_infidelity(circ, scalar_reference.site_table(circ, rates))
         got = monte_carlo_infidelity(circ, rates, trials=trials, seed=5)
         sigma = max(got["stderr"], np.sqrt(expect / trials))
         assert abs(got["infidelity"] - expect) <= 3 * sigma + 1e-9, (key, expect, got)
@@ -430,29 +460,97 @@ def test_lane_passes_split_inside_address_groups(monkeypatch):
 
 # -- the Monte Carlo lanes against the per-trial reference -----------------------
 
+def _assert_site_table_matches_reference(circ, rates, by_gate):
+    table = simulator._site_table(circ, rates, by_gate)
+    sites = scalar_reference.site_table(circ, rates, by_gate)
+    got = [(s, tuple(ops[:a]), k, r) for s, ops, a, k, r in zip(
+        table.slot.tolist(), table.operands.tolist(), table.arity.tolist(), table.keys,
+        table.rate.tolist())]
+    assert got == [(loc.slot, loc.qubits, loc.rate_key, loc.rate) for loc in sites]
+    return sites
+
+
+def _assert_stream_matches_reference(circ, rates, by_gate, trials, seed, address):
+    sites = _assert_site_table_matches_reference(circ, rates, by_gate)
+    got = []
+    summary = monte_carlo_infidelity(
+        circ, rates, trials, seed, link_by_gate=by_gate, address=address,
+        on_trial=lambda t, r: got.append((t, r.ok, r.address, r.events)))
+    want = [(t, r.ok, r.address, r.events) for t, r in
+            scalar_reference.trials(circ, sites, trials, seed, address)]
+    assert got == want
+    assert summary["failures"] == sum(1 for _, ok, _, _ in want if not ok)
+    return want
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=2)
 @given(data=st.data())
 @pytest.mark.parametrize("shape", _lane_shapes(),
                          ids=lambda s: "-".join(str(getattr(v, "value", v)) for v in s))
 def test_monte_carlo_lanes_match_per_trial_reference(shape, data):
-    # high rates put several events on one (slot, qubit) in a trial, and a
-    # small _MAX_LANES splits the trials into several blocks
+    # high rates put several hits on one (slot, qubit) in a trial; a small
+    # _MAX_LANES splits a block's faulty trials into several passes and a
+    # small _BLOCK a run into several blocks
     circ, by_gate = _lane_circuit(shape, data)
     rates = ErrorRates(**{key: data.draw(st.floats(0.02, 0.3), label=key) for key in
                           ("eps_i", "eps_q", "eps_s", "eps_cs", "eps_c", "eps_cc", "eps_f")})
     assert build_location_table(circ, rates) == scalar_reference.location_table(circ, rates)
-    locations = scalar_reference.location_table(circ, rates, by_gate)
-    assert build_location_table(circ, rates, by_gate) == locations
+    assert build_location_table(circ, rates, by_gate) == \
+        scalar_reference.location_table(circ, rates, by_gate)
     trials = data.draw(st.integers(1, 24), label="trials")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
     address = data.draw(st.none() | st.integers(0, circ.params.N - 1), label="address")
     max_lanes = data.draw(st.integers(1, 9), label="max lanes")
-    got = []
-    with mock.patch.object(simulator, "_MAX_LANES", max_lanes):
-        summary = monte_carlo_infidelity(
-            circ, rates, trials, seed, link_by_gate=by_gate, address=address,
-            on_trial=lambda t, r: got.append((t, r.ok, r.address, r.events)))
-    want = [(t, r.ok, r.address, r.events) for t, r in
-            scalar_reference.trials(circ, locations, trials, seed, address)]
-    assert got == want
-    assert summary["failures"] == sum(1 for _, ok, _, _ in want if not ok)
+    block = data.draw(st.integers(1, 9), label="block")
+    with mock.patch.object(simulator, "_MAX_LANES", max_lanes), \
+            mock.patch.object(simulator, "_BLOCK", block):
+        _assert_stream_matches_reference(circ, rates, by_gate, trials, seed, address)
+
+
+def test_monte_carlo_stream_matches_reference_across_a_full_block():
+    # the real block size, a run crossing into the second block
+    circ = build_unified_lookup(derive_params(8, 4, 2),
+                                random_table(np.random.default_rng(5), 8))
+    _, by_gate = classify_links(circ, place_htree(circ))
+    want = _assert_stream_matches_reference(circ, _LANE_RATES, by_gate,
+                                            simulator._BLOCK + 40, 9, None)
+    assert sum(1 for _, ok, _, _ in want if not ok) > 10
+
+
+def test_block_hit_counts_are_binomial():
+    # every (rate, arity) group's hits over many blocks: exactly
+    # Binomial(blocks x _BLOCK x group size, group rate)
+    circ = build_unified_lookup(derive_params(16, 4, 2),
+                                random_table(np.random.default_rng(8), 16))
+    _, by_gate = classify_links(circ, place_htree(circ))
+    table = simulator._site_table(circ, _LANE_RATES, by_gate)
+    group_of = np.repeat(np.arange(len(table.size)), table.size)[np.argsort(table.rows)]
+    blocks = 40
+    hits = np.zeros(len(table.size), dtype=np.int64)
+    for block in range(blocks):
+        _, trial, row, qubit, pauli = simulator._block_draws(
+            table, 16, simulator._block_rng(11, block))
+        assert len(set(zip(trial.tolist(), row.tolist()))) == len(row)
+        hits += np.bincount(group_of[row], minlength=len(hits))
+    assert len(hits) > 5 and hits.sum() > 10_000
+    for count, size, p in zip(hits.tolist(), table.size.tolist(), table.p.tolist()):
+        assert binomtest(count, blocks * simulator._BLOCK * size, p).pvalue > 1e-6, (size, p)
+
+
+@pytest.mark.parametrize("p", [1e-4, 1e-3, 0.05, 0.3, 0.75, 1.0])
+def test_idle_run_rate_is_the_composed_channel(p):
+    # k one-layer channels (I: 1 - p, X, Y, Z: p / 3 each) written out as a
+    # convolution over the Paulis mod phase (I, X, Z, Y = 0, 1, 2, 3; the
+    # product is the XOR)
+    layer = [1.0 - p, p / 3, p / 3, p / 3]
+    weights = [1.0, 0.0, 0.0, 0.0]
+    for k in range(1, 65):
+        composed = [0.0] * 4
+        for a, b in itertools.product(range(4), repeat=2):
+            composed[a ^ b] += weights[a] * layer[b]
+        weights = composed
+        fired = simulator._idle_run_rate(p, k)
+        assert fired == pytest.approx(1.0 - weights[0], rel=1e-9, abs=1e-15), k
+        assert weights[1] == pytest.approx(weights[2], rel=1e-9, abs=1e-15)
+        assert weights[3] == pytest.approx(weights[2], rel=1e-9, abs=1e-15)
+    assert simulator._idle_run_rate(p, 1) == pytest.approx(p, rel=1e-11)
