@@ -254,7 +254,7 @@ def cmd_report(args) -> None:
         report["infidelity"] = costs.multi_bit_infidelity(params, rates).to_json()
     report["exactCounts"] = count_resources(circuit, args.decomposition).to_json()
     if inst.placement is not None:
-        schedule = build_schedule(circuit, inst.placement, inst.by_gate,
+        schedule = build_schedule(circuit, inst.by_gate,
                                   include_distillation_depth=args.include_distillation_depth)
         report["layout"] = {
             "bounds": list(inst.placement.bounds),

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import groupby
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 from .params import ArchParams, DataTable
 
@@ -183,6 +186,17 @@ class CircuitBuilder:
             table=self.table, registers=self.registers, routers=self.routers,
             meta=self.meta,
         )
+
+
+def gate_arrays(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gate list as arrays: per gate its arity and layer, and every
+    gate's operand qubits in gate order, as one flat array."""
+    gates = circuit.gates
+    operands = itemgetter(1)
+    arity = np.fromiter(map(len, map(operands, gates)), np.intp, len(gates))
+    layer = np.fromiter(map(itemgetter(2), gates), np.intp, len(gates))
+    qubit = np.fromiter(chain.from_iterable(map(operands, gates)), np.intp, int(arity.sum()))
+    return arity, layer, qubit
 
 
 def check_layer_disjointness(circuit: Circuit) -> bool:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InitialErrorTooLargeError, InvalidParamsError, PlacementOverflowError
-from .ir import Circuit, GateKind, Role
+from .ir import Circuit, GateKind, Role, gate_arrays
 from .params import ErrorRates
 
 _new_tuple = tuple.__new__
@@ -302,15 +302,6 @@ def place_htree(circuit: Circuit) -> GridPlacement:
                          reserved=reserved)
 
 
-def _operand_arrays(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per gate: its arity and the offset of its operands in the flat
-    operand array, plus that array (every gate's qubits in gate order)."""
-    operands = [g.qubits for g in circuit.gates]
-    arity = np.fromiter(map(len, operands), np.intp, len(operands))
-    flat = np.fromiter(chain.from_iterable(operands), np.intp, int(arity.sum()))
-    return arity, np.cumsum(arity) - arity, flat
-
-
 def _grid_arrays(placement: GridPlacement, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     """(row, col) of every qubit, indexed by qubit id."""
     rc = np.fromiter(chain.from_iterable(map(placement.coords.__getitem__, range(n_qubits))),
@@ -334,7 +325,8 @@ def classify_links(
     are classified per arity as numpy arrays; links come in gate order.
     """
     n = circuit.n_qubits
-    arity, start, flat = _operand_arrays(circuit)
+    arity, _, flat = gate_arrays(circuit)
+    start = np.cumsum(arity) - arity
     row, col = _grid_arrays(placement, n)
     level_of = np.fromiter((info.level for info in circuit.qubits), np.intp, n)
     found = []  # per arity: (gate index, m, source, target, level or -1)
@@ -452,7 +444,6 @@ class Schedule:
 
 def build_schedule(
     circuit: Circuit,
-    placement: GridPlacement | None = None,
     link_by_gate: dict[int, LongRangeLink] | None = None,
     include_distillation_depth: bool = False,
 ) -> Schedule:

@@ -8,15 +8,22 @@ superposition inputs are handled exactly by linearity. The engine
 lane i, so one pass over the gate list applies every gate to every lane
 with one to three bitwise operations, single Paulis are per-lane X/Y/Z
 masks, and the global phase quadrant is kept in two lane planes.
-``run_basis`` is its one-lane case; ``monte_carlo_infidelity`` runs the
-faulty trials of each block of trials as lanes, each with its own flip
-masks; ``run_linear`` runs a superposition's components as lanes;
-``containment_experiment`` runs all its injections at the address as one
-pass (and, with the superposition check, the basis-benign ones times every
-address as a second); ``first_order_infidelity`` and
-``harmful_weight_by_rate`` run locations x qubits x Paulis x addresses as
-lanes; ``lookup_correct`` runs every address as one pass. A pass carries at
-most ``_MAX_LANES`` lanes.
+
+Every analysis asks one question, answered by one query pass,
+``_query_lanes``: lane i queries address ``addresses[i]`` under its own
+faults, and the pass reports the lanes whose measured (address, word)
+differs from the table. ``monte_carlo_infidelity`` runs the faulty trials
+of each block of trials through it, each with its own flip masks;
+``containment_experiment``, ``first_order_infidelity``,
+``harmful_weight_by_rate`` and ``lookup_correct`` run their (fault,
+address) queries through it fault-major (``_query_passes``). With the
+superposition check, containment runs the basis-benign injections times
+every address and counts the overlap exactly in integers; this needs a
+circuit whose fault-free run keeps its address register (every built
+lookup does) and rejects any other with InvalidParamsError. A pass carries
+at most ``_MAX_LANES`` lanes. ``run_basis`` (one lane) and ``run_linear``
+(a superposition's components as lanes) are the plain state-propagation
+entry points.
 
 The Monte Carlo samples a merged site table, built once per call as numpy
 arrays: one row per gate or link site and one per idle run, a run of k idle
@@ -30,14 +37,12 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParamsError
-from .ir import Circuit, GateKind
+from .ir import Circuit, GateKind, gate_arrays
 from .layout import LongRangeLink, long_range_error
 from .params import ErrorRates, address_bits
 
@@ -72,12 +77,6 @@ def basis_input(circuit: Circuit, address: int) -> int:
 def expected_word(circuit: Circuit, address: int) -> int:
     table, params = circuit.table, circuit.params
     return sum(table.bit(address, w) << w for w in range(params.b))
-
-
-def _answer(circuit: Circuit, address: int) -> int:
-    """The ideal output of a basis query on its address and bus qubits."""
-    return basis_input(circuit, address) | pack_register(
-        expected_word(circuit, address), circuit.reg("bus"), big_endian=False)
 
 
 # -- bit-sliced lane engine -----------------------------------------------------
@@ -272,17 +271,6 @@ def _gate_sites(circuit: Circuit, rates: ErrorRates,
     return index, keys, values
 
 
-def _operands(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gate list as arrays: per gate its arity and layer, and every
-    operand's qubit, gate by gate."""
-    gates = circuit.gates
-    arity = np.fromiter(map(len, map(itemgetter(1), gates)), np.int64, len(gates))
-    layer = np.fromiter(map(itemgetter(2), gates), np.int64, len(gates))
-    qubit = np.fromiter(chain.from_iterable(map(itemgetter(1), gates)), np.int64,
-                        int(arity.sum()))
-    return arity, layer, qubit
-
-
 def _idle_runs(arity: np.ndarray, layer: np.ndarray,
                qubit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(qubit, slot, layers) of every idle run, by qubit and then layer.
@@ -318,7 +306,7 @@ def build_location_table(
     locs = [Location(idx, gates[idx].qubits, key, rate, idx)
             for idx, key, rate in zip(*_gate_sites(circuit, rates, link_by_gate or {}))]
     if rates.eps_i > 0:
-        for q, slot, k in zip(*(a.tolist() for a in _idle_runs(*_operands(circuit)))):
+        for q, slot, k in zip(*(a.tolist() for a in _idle_runs(*gate_arrays(circuit)))):
             locs += [Location(slot, (q,), "eps_i", rates.eps_i)] * k
     return locs
 
@@ -362,7 +350,7 @@ def _site_table(circuit: Circuit, rates: ErrorRates,
     """:func:`build_location_table`'s sites with each idle run merged into one
     row at :func:`_idle_run_rate`."""
     index, keys, values = _gate_sites(circuit, rates, link_by_gate or {})
-    arity, layer, qubit = _operands(circuit)
+    arity, layer, qubit = gate_arrays(circuit)
     gate = np.asarray(index, dtype=np.int64)
     site_arity = arity[gate]
     width = int(site_arity.max(initial=1))
@@ -453,10 +441,32 @@ def _lane_planes(values: np.ndarray, reg: tuple[int, ...], big_endian: bool,
                  planes: list[int]) -> None:
     """Set planes[reg[i]] to the lanes whose value has register bit i set."""
     width = len(reg)
+    shift = np.arange(width - 1, -1, -1) if big_endian else np.arange(width)
+    bits = np.packbits((values & 1 << shift[:, None]).astype(bool), axis=1, bitorder="little")
+    data, step = bits.tobytes(), bits.shape[1]
     for i, q in enumerate(reg):
-        shift = (width - 1 - i) if big_endian else i
-        bits = np.packbits((values >> shift & 1).astype(np.uint8), bitorder="little")
-        planes[q] = int.from_bytes(bits.tobytes(), "little")
+        planes[q] = int.from_bytes(data[i * step:(i + 1) * step], "little")
+
+
+def _query_lanes(circuit: Circuit, addresses: np.ndarray,
+                 faults: LaneFaults | None = None) -> tuple[int, list[int], int, int]:
+    """Run lane i as a basis query of ``addresses[i]``; the one query pass.
+
+    Returns (wrong, planes, lo, hi): ``wrong`` marks the lanes whose measured
+    (address, word) differs from their query's address and table word, and
+    the rest is :func:`run_lanes`' state after the pass.
+    """
+    address, bus = circuit.reg("address"), circuit.reg("bus")
+    planes = [0] * circuit.n_qubits
+    _lane_planes(addresses, address, True, planes)
+    wanted = planes.copy()
+    words = np.asarray(circuit.table.words, dtype=np.int64)
+    _lane_planes(words[addresses], bus, False, wanted)
+    lo, hi = run_lanes(circuit, planes, len(addresses), faults)
+    wrong = 0
+    for q in address + bus:
+        wrong |= planes[q] ^ wanted[q]
+    return wrong, planes, lo, hi
 
 
 def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: int, hi: int,
@@ -483,9 +493,6 @@ def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: i
     flip = pauli != 2
     faulty, lane = np.unique(trial[flip], return_inverse=True)
     flip_slot, flip_qubit = slot[flip], qubit[flip]
-    n = circuit.n_qubits
-    checked = circuit.reg("address") + circuit.reg("bus")
-    words = np.asarray(circuit.table.words, dtype=np.int64)
     for first in range(0, len(faulty), _MAX_LANES):
         lane_trials = faulty[first:first + _MAX_LANES]
         lanes = len(lane_trials)
@@ -497,15 +504,7 @@ def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: i
         faults: LaneFaults = {}
         for (s, q), x in flips.items():
             faults.setdefault(s, []).append((q, x, 0, 0))
-        queried = addresses[lane_trials]
-        planes = [0] * n
-        _lane_planes(queried, circuit.reg("address"), True, planes)
-        wanted = planes.copy()
-        _lane_planes(words[queried], circuit.reg("bus"), False, wanted)
-        run_lanes(circuit, planes, lanes, faults)
-        wrong = 0
-        for q in checked:
-            wrong |= planes[q] ^ wanted[q]
+        wrong, *_ = _query_lanes(circuit, addresses[lane_trials], faults)
         ok[lane_trials] = _lane_bits(wrong, lanes) == 0
     events = None
     if with_events:
@@ -568,31 +567,22 @@ def monte_carlo_infidelity(
 # -- exhaustive single-error analysis -------------------------------------------
 
 def _query_passes(circuit: Circuit, faults: list[tuple[int, int, str] | None],
-                  addresses: list[int]):
+                  addresses: list[int] | np.ndarray):
     """Run every (fault, address) basis query as one lane, fault-major.
 
     Lane g injects fault g // len(addresses) (None: no fault) into a query of
     address addresses[g % len(addresses)]. A pass holds at most _MAX_LANES
     lanes and may end inside a fault's address group. Yields, per pass,
-    (first lane, lanes, wrong, planes, lo, hi): ``wrong`` marks the lanes
-    whose measured (address, word) differs from their query's, and the rest
-    is :func:`run_lanes`' state after the pass.
+    (first lane, lanes, wrong, planes, lo, hi), the last four from
+    :func:`_query_lanes`.
     """
     period = len(addresses)
+    addresses = np.asarray(addresses, dtype=np.int64)
     group = (1 << period) - 1
-    checked = circuit.reg("address") + circuit.reg("bus")
-    inputs = _transpose([basis_input(circuit, a) for a in addresses], circuit.n_qubits)
-    wanted = _transpose([_answer(circuit, a) for a in addresses], circuit.n_qubits)
     total = len(faults) * period
     for start in range(0, total, _MAX_LANES):
         lanes = min(_MAX_LANES, total - start)
         full = (1 << lanes) - 1
-        # a one-period pattern times the repunit (one set bit per period)
-        # repeats it along the pass
-        skip = start % period
-        periods = -(-(skip + lanes) // period)
-        repunit = ((1 << periods * period) - 1) // group
-        planes = [(p * repunit >> skip) & full for p in inputs]
         masks: dict[tuple[int, int], list[int]] = {}
         for f in range(start // period, (start + lanes - 1) // period + 1):
             if faults[f] is None:
@@ -604,11 +594,9 @@ def _query_passes(circuit: Circuit, faults: list[tuple[int, int, str] | None],
         lane_faults: LaneFaults = {}
         for (slot, q), (x, y, z) in masks.items():
             lane_faults.setdefault(slot, []).append((q, x, y, z))
-        lo, hi = run_lanes(circuit, planes, lanes, lane_faults)
-        wrong = 0
-        for q in checked:
-            wrong |= planes[q] ^ ((wanted[q] * repunit >> skip) & full)
-        yield start, lanes, wrong, planes, lo, hi
+        skip = start % period
+        queried = np.tile(addresses, -(-(skip + lanes) // period))[skip:skip + lanes]
+        yield start, lanes, *_query_lanes(circuit, queried, lane_faults)
 
 
 def _count_groups(plane: int, start: int, lanes: int, period: int,
@@ -704,32 +692,30 @@ def _phase_harmful(circuit: Circuit, faults: list[tuple[int, int, str]]) -> list
     """Per fault: does it lower a uniform-superposition query's overlap with
     the ideal output below 1?
 
-    Exact in integers. When the ideal map keeps the address register, lane
-    (fault, a) lands in the ideal output set iff its output is the ideal
-    output of the address its register ends with; with c_k landed lanes of
-    phase k, the overlap is ((c0 - c2)^2 + (c1 - c3)^2) / N^2.
+    Exact in integers, for a circuit whose ideal map keeps the address
+    register (every built lookup does; any other is an InvalidParamsError).
+    Lane (fault, a) then lands in the ideal output set iff its output is the
+    ideal output of the address its register ends with; with c_k landed
+    lanes of phase k, the overlap is ((c0 - c2)^2 + (c1 - c3)^2) / N^2.
     """
-    N = 1 << circuit.params.n
-    addresses = list(range(N))
+    N = circuit.params.N
+    addresses = np.arange(N)
     addr_reg = circuit.reg("address")
-    ideal = [0] * circuit.n_qubits   # bit a: qubit q of address a's ideal output
-    for start, _, _, planes, _, _ in _query_passes(circuit, [None], addresses):
-        for q, plane in enumerate(planes):
-            ideal[q] |= plane << start
-    queries = _transpose([basis_input(circuit, a) for a in addresses], circuit.n_qubits)
+    queries = [0] * circuit.n_qubits
+    _lane_planes(addresses, addr_reg, True, queries)
+    _, ideal, _, _ = _query_lanes(circuit, addresses)
     if any(ideal[q] != queries[q] for q in addr_reg):
-        sup_in = uniform_address_superposition(circuit)
-        sup_ideal = run_linear(circuit, sup_in)
-        return [sparse_overlap(sup_ideal, run_linear(circuit, sup_in, {slot: [(q, p)]}))
-                < 1.0 - 1e-9 for slot, q, p in faults]
+        raise InvalidParamsError(
+            "the superposition check needs a circuit whose fault-free run keeps "
+            "its address register")
     width = len(addr_reg)
-    set_by = [(q, [a for a in addresses if ideal[q] >> a & 1])
+    set_by = [(q, [a for a in range(N) if ideal[q] >> a & 1])
               for q in range(circuit.n_qubits) if q not in addr_reg]
     counts = np.zeros((4, len(faults)), dtype=np.int64)
     for start, lanes, _, planes, lo, hi in _query_passes(circuit, faults, addresses):
         full = (1 << lanes) - 1
         ends_at = []   # per address: the lanes whose register ends holding it
-        for a in addresses:
+        for a in range(N):
             at = full
             for i, q in enumerate(addr_reg):
                 at &= planes[q] if a >> (width - 1 - i) & 1 else ~planes[q]
@@ -758,7 +744,9 @@ def containment_experiment(
 
     A site is benign when the basis-address measurement outcome is unchanged;
     with ``check_superposition``, sites that only corrupt the relative phase
-    of a uniform-superposition query are reported separately.
+    of a uniform-superposition query are reported separately, and a circuit
+    whose fault-free run changes its address register is an
+    InvalidParamsError.
     """
     if sites is None:
         nq = circuit.n_qubits

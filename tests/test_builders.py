@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     classical_lookup, lam_gamma_grid, lookup_target, masked_stage2_cells, random_table,
@@ -10,12 +11,12 @@ from dense_oracle import basis_state, overlap, run_dense
 from qlut.builders import (
     ReferenceKind, build_cnot_tree, build_cswap_router, build_linear_router_round,
     build_multi_bit_parallel, build_multi_bit_sequential, build_reference,
-    build_uncompute, build_unified_lookup,
+    build_lookup, build_uncompute, build_unified_lookup,
 )
 from qlut.ir import GateKind, Role, Stage, check_layer_disjointness, gate_multiset
 from qlut.params import DataTable, Readout, derive_params
 from qlut.simulator import (
-    basis_input, pack_register, read_register,
+    basis_input, lookup_correct, pack_register, read_register,
     run_basis, run_linear, sparse_overlap,
     uniform_address_superposition,
 )
@@ -222,6 +223,33 @@ def test_sequential_readout(N, lam, gamma, b, rng):
     table = random_table(rng, N, b=b)
     circ = build_multi_bit_sequential(params, table)
     _check_lookup(circ, table, b=b)
+
+
+def _multi_word_shapes() -> list[tuple]:
+    """Every (N, lambda, gamma, b, readout) with N <= 64, b in {2, 4} and a
+    multi-word readout."""
+    return [(N, 1 << i, 1 << j, b, readout) for N in (1, 2, 4, 8, 16, 32, 64)
+            for i in range(N.bit_length()) for j in range(i + 1)
+            for b in (2, 4) for readout in (Readout.PARALLEL, Readout.SEQUENTIAL)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(shape=st.sampled_from(_multi_word_shapes()), data=st.data())
+def test_multi_word_lookup_matches_the_table(shape, data):
+    # every basis query reads its table word, and the check sees one wrong
+    # word bit on the multi-qubit bus
+    N, lam, gamma, b, readout = shape
+    words = data.draw(st.tuples(*[st.integers(0, (1 << b) - 1)] * N), label="table")
+    table = DataTable(words, b)
+    circ = build_lookup(derive_params(N, lam, gamma, b=b, readout=readout), table)
+    assert lookup_correct(circ)
+    address = data.draw(st.integers(0, N - 1), label="address")
+    out, _ = run_basis(circ, basis_input(circ, address))
+    assert read_register(out, circ.reg("bus"), big_endian=False) == \
+        classical_lookup(table, address, b)
+    flipped = list(words)
+    flipped[address] ^= 1 << data.draw(st.integers(0, b - 1), label="bit")
+    assert not lookup_correct(dataclasses.replace(circ, table=DataTable(tuple(flipped), b)))
 
 
 def test_multibit_b1_degenerates_to_single_bit(rng):

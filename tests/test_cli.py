@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qlut import costs, simulator
+from qlut.builders import build_lookup
 from qlut.cli import main, parse_sweep_csv, sweep_table_csv, sweep_exponent_table, SweepSpec
-from qlut.params import arch_params_from_json, error_rates_from_json
+from qlut.layout import classify_links, place_htree
+from qlut.params import DataTable, arch_params_from_json, derive_params, error_rates_from_json
 
 GOLDEN = Path(__file__).parent / "fixtures" / "n2_gates_golden.txt"
 
@@ -213,6 +216,31 @@ def test_export_layout_files(tmp_path):
     assert (tmp_path / "layout.txt").read_text().count("o") == len(coords)
 
 
+def _small_shapes() -> list[tuple]:
+    """Every (N, lambda, gamma) with N <= 64."""
+    return [(N, 1 << i, 1 << j) for N in (1, 2, 4, 8, 16, 32, 64)
+            for i in range(N.bit_length()) for j in range(i + 1)]
+
+
+@pytest.mark.parametrize("shape", _small_shapes(), ids=lambda s: "/".join(map(str, s)))
+def test_export_layout_links_equal_classify_links(tmp_path, shape):
+    # the link CSV is classify_links on the placed circuit, at every budget k
+    N, lam, gamma = shape
+    words = [a % 2 for a in range(N)]
+    for k in range(lam.bit_length()):
+        cfg = _write_config(tmp_path, params={"N": N, "lambda": lam, "gamma": gamma,
+                                              "longRangeBudgetK": k}, table=words)
+        assert main(["export-layout", "--config", cfg, "--out", str(tmp_path / "l")]) == 0
+        with open(tmp_path / "l_links.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        circ = build_lookup(derive_params(N, lam, gamma, k=k), DataTable(tuple(words)))
+        links, _ = classify_links(circ, place_htree(circ), free_levels=k)
+        assert rows[0] == ["source", "target", "m", "level", "resource"]
+        assert rows[1:] == [[str(link.source), str(link.target), str(link.m),
+                             "" if link.level is None else str(link.level), link.resource]
+                            for link in links]
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -350,12 +378,6 @@ def test_parser_is_reused_across_calls(tmp_path, capsys):
     for argv, (out, err) in zip(reversed(calls), reversed(first)):
         assert main(argv) == 0
         assert capsys.readouterr() == (out, err)
-
-
-def _small_shapes() -> list[tuple]:
-    """Every (N, lambda, gamma) with N <= 64."""
-    return [(N, 1 << i, 1 << j) for N in (1, 2, 4, 8, 16, 32, 64)
-            for i in range(N.bit_length()) for j in range(i + 1)]
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=30)

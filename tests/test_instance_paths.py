@@ -40,7 +40,7 @@ def _assert_same_instance(fast, ref):
                 assert links == ref_links
                 assert list(by_gate.items()) == list(ref_by_gate.items())
                 for depth in (False, True):
-                    got = build_schedule(fast, placement, by_gate, depth)
+                    got = build_schedule(fast, by_gate, depth)
                     want = scalar_reference.build_schedule(ref, ref_by_gate, depth)
                     assert got == want
                     for field in ("idle", "tau", "level_crossings"):

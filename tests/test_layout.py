@@ -167,7 +167,7 @@ def test_schedule_crossings_and_tau():
     circ = build_reference("BucketBrigade", 16, random_table(rng, 16))
     placement = place_htree(circ)
     links, by_gate = classify_links(circ, placement)
-    sched = build_schedule(circ, placement, by_gate)
+    sched = build_schedule(circ, by_gate)
     T = 4
     counts = [sched.level_crossings.get(l, 0) for l in range(T)]
     assert counts == [3, 2, 1, 0]
@@ -181,7 +181,7 @@ def test_schedule_toy_no_long_range():
     placement = place_htree(circ)
     links, by_gate = classify_links(circ, placement)
     assert links == []
-    sched = build_schedule(circ, placement, by_gate)
+    sched = build_schedule(circ, by_gate)
     assert sched.tau[0] == 2
 
 
@@ -191,7 +191,7 @@ def test_schedule_n16_idle_golden():
     circ = build_reference("BucketBrigade", 16, DataTable(words=(1,) * 16, b=1))
     placement = place_htree(circ)
     _, by_gate = classify_links(circ, placement)
-    sched = build_schedule(circ, placement, by_gate)
+    sched = build_schedule(circ, by_gate)
     assert sched.total_depth == 53
     assert sched.idle_total == 791
     assert sched.tau == {0: 2, 1: 6, 2: 12, 3: 16}
@@ -205,15 +205,15 @@ def test_schedule_depth_polylog():
         circ = build_reference("BucketBrigade", N, random_table(rng, N))
         placement = place_htree(circ)
         _, by_gate = classify_links(circ, placement)
-        sched = build_schedule(circ, placement, by_gate)
+        sched = build_schedule(circ, by_gate)
         depths[n] = sched.total_depth
         assert sched.total_depth <= 4 * n ** 3, (n, sched.total_depth)
     # distillation depth only adds a log factor
     circ = build_reference("BucketBrigade", 256, random_table(rng, 256))
     placement = place_htree(circ)
     _, by_gate = classify_links(circ, placement)
-    plain = build_schedule(circ, placement, by_gate).total_depth
-    slow = build_schedule(circ, placement, by_gate,
+    plain = build_schedule(circ, by_gate).total_depth
+    slow = build_schedule(circ, by_gate,
                           include_distillation_depth=True).total_depth
     assert plain < slow <= 8 * plain
 

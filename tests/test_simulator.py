@@ -12,6 +12,7 @@ from conftest import lam_gamma_grid, random_table, trial_outcome_ok
 from dense_oracle import basis_state, run_dense
 from qlut import simulator
 from qlut.builders import build_lookup, build_reference, build_unified_lookup
+from qlut.errors import InvalidParamsError
 from qlut.ir import CircuitBuilder, GateKind, Role, Stage
 from qlut.layout import classify_links, long_range_error, place_htree
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
@@ -427,8 +428,8 @@ def test_lane_analyses_match_scalar_reference(shape, data):
 
 def test_phase_check_when_the_ideal_map_moves_the_address():
     # a circuit whose ideal map flips the address bit: the phase check cannot
-    # read a lane's ideal output off its address register, and must still
-    # agree with the per-injection overlap
+    # read a lane's ideal output off its address register, so it rejects the
+    # circuit; the basis classification still agrees with the reference
     b = CircuitBuilder(derive_params(2, 2, 1), DataTable((1, 0), 1))
     (addr,) = b.new_register("address", Role.ADDRESS, 1)
     (bus,) = b.new_register("bus", Role.BUS, 1)
@@ -439,11 +440,11 @@ def test_phase_check_when_the_ideal_map_moves_the_address():
     circ = b.build()
     sites = [(slot, q) for slot in range(len(circ.gates) + 1) for q in range(circ.n_qubits)]
     for address in range(2):
-        want = scalar_reference.containment(circ, address, sites, check_superposition=True)
-        got = containment_experiment(circ, address, sites=sites, check_superposition=True)
-        assert got.phase_harmful
-        assert (got.benign, got.harmful, got.phase_harmful) == \
-               (want.benign, want.harmful, want.phase_harmful)
+        with pytest.raises(InvalidParamsError, match="address register"):
+            containment_experiment(circ, address, sites=sites, check_superposition=True)
+        want = scalar_reference.containment(circ, address, sites)
+        got = containment_experiment(circ, address, sites=sites)
+        assert (got.benign, got.harmful) == (want.benign, want.harmful)
 
 
 def test_lane_passes_split_inside_address_groups(monkeypatch):
