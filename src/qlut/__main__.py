@@ -1,0 +1,7 @@
+"""`python -m qlut ...` runs the command-line driver."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

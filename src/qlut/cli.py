@@ -2,11 +2,22 @@
 
 Exit codes: 0 success, 2 config error, 3 validation error, 4 internal error.
 All emissions are byte-deterministic given the config and seed.
+
+Each command runs with Python's cyclic garbage collector paused, and `main`
+restores the caller's setting on every return. A build allocates some 10^5
+gate tuples, each GC-tracked through its `GateKind` member, and the
+collections they trigger rescan the live circuit for about a fifth of a
+`report` call; the build leaves almost no cyclic garbage, and reference
+counting still frees the circuit when the command returns. The setting is
+process-global, so a caller that embeds `main` sees the pause only for the
+duration of the call. Library entry points such as `build_lookup` leave the
+collector alone.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -391,6 +402,8 @@ def main(argv: list[str] | None = None) -> int:
         "export-layout": cmd_export_layout,
         "simulate": cmd_simulate,
     }
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         handlers[args.command](args)
     except ConfigError as exc:
@@ -402,6 +415,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # pragma: no cover - internal invariant escape
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return 0
 
 

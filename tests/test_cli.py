@@ -1,12 +1,16 @@
 import csv
+import gc
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qlut import costs, simulator
+from qlut import cli, costs, simulator
 from qlut.builders import build_lookup
 from qlut.cli import main, parse_sweep_csv, sweep_table_csv, sweep_exponent_table, SweepSpec
 from qlut.layout import classify_links, place_htree
@@ -401,3 +405,100 @@ def test_report_monte_carlo_equals_simulate(tmp_path_factory, shape, word, k, tr
     assert main(["simulate", "--config", cfg, "--trials", str(trials), "--seed", str(seed),
                  "--out", str(simulate)]) == 0
     assert json.loads(report.read_text())["monteCarlo"] == json.loads(simulate.read_text())
+
+
+def _exit_path_argv(tmp_path, code: int) -> list[str]:
+    """A `report` call that exits 0, 2 (missing config) or 3 (invalid params)."""
+    if code == 2:
+        return ["report", "--config", str(tmp_path / "nope.json")]
+    params = {"N": 16, "lambda": 3 if code == 3 else 4, "gamma": 2}
+    return ["report", "--config", _write_config(tmp_path, f"exit{code}.json", params=params)]
+
+
+@pytest.mark.parametrize("caller_enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_main_pauses_and_restores_collector(tmp_path, capsys, monkeypatch, code, caller_enabled):
+    # the handler runs with the collector off; main hands back the caller's setting
+    seen = []
+    real_report = cli.cmd_report
+
+    def spy(args):
+        seen.append(gc.isenabled())
+        if code == 4:
+            raise RuntimeError("handler failed")
+        real_report(args)
+
+    monkeypatch.setattr(cli, "cmd_report", spy)
+    argv = _exit_path_argv(tmp_path, 0 if code == 4 else code)
+    was_enabled = gc.isenabled()
+    if not caller_enabled:
+        gc.disable()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is caller_enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert seen == [False]
+    if code == 4:
+        assert "internal error: handler failed" in capsys.readouterr().err
+
+
+# an N=1024 (32, 4) build emits some 5,400 gates, several automatic
+# collections' worth of tracked tuples
+_GC_SHAPE = {"N": 1024, "lambda": 32, "gamma": 4}
+
+
+@pytest.mark.parametrize("command", ["report", "export-gates"])
+def test_command_runs_no_automatic_collection(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, params=_GC_SHAPE)
+    argv = ["report", "--config", cfg] if command == "report" else \
+        ["export-gates", "--config", cfg, "--out", str(tmp_path / "g.txt")]
+    starts = []
+
+    def hook(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(hook)
+    try:
+        assert main(argv) == 0
+    finally:
+        gc.callbacks.remove(hook)
+    assert starts == []
+
+
+@pytest.mark.parametrize("command", ["report", "export-gates", "export-layout",
+                                     "simulate", "sweep"])
+def test_command_leaves_little_cyclic_garbage(tmp_path, capsys, command):
+    # with the collector paused, a per-gate reference cycle would pile up
+    # unseen and show here as thousands of unreachable objects
+    cfg = _write_config(tmp_path, params=_GC_SHAPE)
+    out = str(tmp_path / "out")
+    if command == "sweep":
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"nRange": [4, 5, 6, 7, 8], "kRules": ["Zero"]}))
+        argv = ["sweep", "--config", str(sweep), "--out", out]
+    elif command == "report":
+        argv = ["report", "--config", cfg, "--trials", "20", "--seed", "1"]
+    elif command == "simulate":
+        argv = ["simulate", "--config", cfg, "--trials", "20", "--seed", "1", "--log", out]
+    else:
+        argv = [command, "--config", cfg, "--out", out]
+    gc.collect()
+    assert main(argv) == 0
+    assert gc.collect() < 1000
+
+
+@pytest.mark.parametrize("code", [0, 2, 3])
+def test_python_m_qlut_exit_codes(tmp_path, code):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "qlut", *_exit_path_argv(tmp_path, code)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert json.loads(proc.stdout)["repetitions"] == 4
+    else:
+        assert proc.stderr.startswith({2: "config error", 3: "validation error"}[code])
