@@ -33,7 +33,8 @@ from .layout import (
 )
 from .params import (
     ArchParams, DataTable, ErrorRates, Readout, arch_params_from_json,
-    arch_params_to_json, error_rates_from_json, error_rates_to_json, specialization,
+    arch_params_to_json, error_rates_from_json, error_rates_to_json, json_int,
+    specialization,
 )
 from .resources import count_resources
 from .simulator import TrialResult, lookup_correct, monte_carlo_infidelity
@@ -88,7 +89,7 @@ class SweepSpec:
         kwargs = {}
         try:
             if "nRange" in obj:
-                kwargs["n_range"] = [int(v) for v in obj["nRange"]]
+                kwargs["n_range"] = [json_int(v, "nRange entry") for v in obj["nRange"]]
             if "dFractions" in obj:
                 kwargs["d_fractions"] = [float(v) for v in obj["dFractions"]]
             if "dPrimeFractions" in obj:
@@ -208,7 +209,8 @@ def _build_instance(path: str) -> _Instance:
         params = arch_params_from_json(obj["params"])
         rates = error_rates_from_json(obj.get("rates", {}))
         if "table" in obj:
-            table = DataTable(words=tuple(int(w) for w in obj["table"]), b=params.b)
+            table = DataTable(words=tuple(json_int(w, "table entry") for w in obj["table"]),
+                              b=params.b)
         else:
             # deterministic default table so reports are reproducible
             words = tuple((a * 2654435761 >> 7) % (1 << params.b) for a in range(params.N))

@@ -236,10 +236,6 @@ class ExponentFit:
     intercept: float
     ci95: float
 
-    @property
-    def interval(self) -> tuple[float, float]:
-        return (self.slope - self.ci95, self.slope + self.ci95)
-
 
 def fit_exponent(sizes, values) -> ExponentFit:
     """Least-squares slope of log2(value) against log2(N), with a 95% CI."""

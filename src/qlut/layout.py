@@ -437,10 +437,6 @@ class Schedule:
     def idle_total(self) -> int:
         return sum(self.idle.values())
 
-    @property
-    def tau_total(self) -> int:
-        return sum(self.tau.values())
-
 
 def build_schedule(
     circuit: Circuit,

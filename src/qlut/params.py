@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import KOutOfRangeError, NonPowerOfTwoError, OrderingViolationError
+from .errors import ConfigError, KOutOfRangeError, NonPowerOfTwoError, OrderingViolationError
 
 
 class Readout(str, Enum):
@@ -199,18 +199,29 @@ def arch_params_to_json(p: ArchParams) -> dict:
     }
 
 
+def json_int(value, name: str) -> int:
+    """``int(value)`` of a config value, except that a boolean or a number
+    with a fractional part is a ConfigError instead of being truncated."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def arch_params_from_json(obj: dict) -> ArchParams:
+    k = obj.get("longRangeBudgetK", 0)
+    if isinstance(k, bool):
+        raise ConfigError(f"longRangeBudgetK must be a number, got {k!r}")
     p = derive_params(
-        N=int(obj["N"]),
-        lam=int(obj["lambda"]),
-        gamma=int(obj.get("gamma", 1)),
-        b=int(obj.get("b", 1)),
+        N=json_int(obj["N"], "N"),
+        lam=json_int(obj["lambda"], "lambda"),
+        gamma=json_int(obj.get("gamma", 1), "gamma"),
+        b=json_int(obj.get("b", 1), "b"),
         readout=Readout(obj.get("readout", "SingleBit")),
-        k=obj.get("longRangeBudgetK", 0),
+        k=k,
     )
     for key, got in (("n", p.n), ("d", p.d), ("dPrime", p.d_prime),
                      ("dDoublePrime", p.d_dprime)):
-        if key in obj and int(obj[key]) != got:
+        if key in obj and json_int(obj[key], key) != got:
             raise OrderingViolationError(
                 f"declared {key}={obj[key]} inconsistent with derived {got}")
     return p

@@ -25,9 +25,12 @@ at most ``_MAX_LANES`` lanes. ``run_basis`` (one lane) and ``run_linear``
 (a superposition's components as lanes) are the plain state-propagation
 entry points.
 
-The Monte Carlo samples a merged site table, built once per call as numpy
-arrays: one row per gate or link site and one per idle run, a run of k idle
-layers firing with the composed probability 3/4 (1 - (1 - 4p/3)^k). Its
+One function, ``_site_table``, makes the fault sites, as numpy arrays: one
+row per gate or link site and one per idle run, a run of k idle layers
+firing with the composed probability 3/4 (1 - (1 - 4p/3)^k). The Monte
+Carlo samples it, built once per call; ``build_location_table`` writes it
+out as Locations, a run of k layers as k equal sites at the one-layer rate,
+and the first-order analyses query each distinct Location once. Monte Carlo
 trials come in blocks of ``_BLOCK``, each drawn from its own (seed, block)
 generator by skip sampling per (rate, arity) group, so a block costs
 O(hits), not O(sites x trials), and trial t depends on (seed, t // _BLOCK)
@@ -227,7 +230,6 @@ class Location:
     qubits: tuple[int, ...]   # candidate qubits (one is hit per event)
     rate_key: str
     rate: float
-    gate_index: int | None = None
 
 
 @dataclass(frozen=True)
@@ -249,28 +251,6 @@ class TrialResult:
     events: list[ErrorEvent] = field(default_factory=list)
 
 
-def _gate_sites(circuit: Circuit, rates: ErrorRates,
-                link_by_gate: dict[int, LongRangeLink]) -> tuple[list[int], list[str], list[float]]:
-    """(gate index, rate key, rate) of every gate and link site, in gate
-    order; zero-rate sites are dropped."""
-    local = {kind: (key, getattr(rates, key)) for kind, key in _GATE_RATE_KEY.items()}
-    link_rate: dict[tuple[int, str], float] = {}   # a link's rate is set by (m, resource)
-    index, keys, values = [], [], []
-    for idx, g in enumerate(circuit.gates):
-        link = link_by_gate.get(idx)
-        if link is None:
-            key, rate = local.get(g.kind, (None, 0.0))
-        else:
-            key, rate = "eps_l", link_rate.get((link.m, link.resource))
-            if rate is None:
-                rate = link_rate[link.m, link.resource] = long_range_error(link, rates)
-        if rate > 0:
-            index.append(idx)
-            keys.append(key)
-            values.append(rate)
-    return index, keys, values
-
-
 def _idle_runs(arity: np.ndarray, layer: np.ndarray,
                qubit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(qubit, slot, layers) of every idle run, by qubit and then layer.
@@ -287,30 +267,6 @@ def _idle_runs(arity: np.ndarray, layer: np.ndarray,
     return q[1:][run], g[1:][run], gap[run]
 
 
-def build_location_table(
-    circuit: Circuit,
-    rates: ErrorRates,
-    link_by_gate: dict[int, LongRangeLink] | None = None,
-) -> list[Location]:
-    """All fault sites with their firing rates, one per idle layer.
-
-    Long-range-flagged gates draw from their link's error
-    (:func:`layout.long_range_error`) instead of their local gate rate; a
-    firing link hits one endpoint. Each layer a qubit sits idle between two
-    of its gates is one ``eps_i`` site charged before the later gate (a run
-    of k idle layers repeats one site k times); sites come gate sites first,
-    then idle sites by qubit and layer. Zero-rate sites are dropped. The
-    Monte Carlo merges each idle run into one site (:func:`_site_table`).
-    """
-    gates = circuit.gates
-    locs = [Location(idx, gates[idx].qubits, key, rate, idx)
-            for idx, key, rate in zip(*_gate_sites(circuit, rates, link_by_gate or {}))]
-    if rates.eps_i > 0:
-        for q, slot, k in zip(*(a.tolist() for a in _idle_runs(*gate_arrays(circuit)))):
-            locs += [Location(slot, (q,), "eps_i", rates.eps_i)] * k
-    return locs
-
-
 def _idle_run_rate(p: float, layers: int) -> float:
     """Firing probability of ``layers`` idle layers at rate ``p`` as one site.
 
@@ -324,11 +280,12 @@ def _idle_run_rate(p: float, layers: int) -> float:
 
 
 class _SiteTable(NamedTuple):
-    """The Monte Carlo's fault sites as arrays, grouped by (rate, arity).
+    """Every fault site as arrays, grouped by (rate, arity).
 
     Row i is a gate or link site (in gate order) or an idle run (by qubit and
     layer): it fires with probability ``rate[i]`` before gate ``slot[i]`` and
     then hits one of its first ``arity[i]`` ``operands`` with X, Y or Z.
+    ``layers[i]`` is its number of idle layers (1 for a gate or link site).
     ``rows[start[g]:start[g] + size[g]]`` are the rows of group g, in order;
     ``p[g]`` and ``variants[g]`` (3 x arity) are its rate and its number of
     (operand, Pauli) outcomes.
@@ -338,6 +295,7 @@ class _SiteTable(NamedTuple):
     arity: np.ndarray
     keys: list[str]
     rate: np.ndarray
+    layers: np.ndarray
     rows: np.ndarray
     start: np.ndarray
     size: np.ndarray
@@ -347,9 +305,31 @@ class _SiteTable(NamedTuple):
 
 def _site_table(circuit: Circuit, rates: ErrorRates,
                 link_by_gate: dict[int, LongRangeLink] | None = None) -> _SiteTable:
-    """:func:`build_location_table`'s sites with each idle run merged into one
-    row at :func:`_idle_run_rate`."""
-    index, keys, values = _gate_sites(circuit, rates, link_by_gate or {})
+    """All fault sites with their firing rates; the one place sites are made.
+
+    Long-range-flagged gates draw from their link's error
+    (:func:`layout.long_range_error`) instead of their local gate rate; a
+    firing link hits one endpoint. The idle layers a qubit sits between two
+    of its gates are one ``eps_i`` run charged before the later gate, firing
+    at :func:`_idle_run_rate`. Gate and link sites come first, then idle
+    runs by qubit and layer; zero-rate sites are dropped.
+    """
+    local = {kind: (key, getattr(rates, key)) for kind, key in _GATE_RATE_KEY.items()}
+    link_by_gate = link_by_gate or {}
+    link_rate: dict[tuple[int, str], float] = {}   # a link's rate is set by (m, resource)
+    index, keys, values = [], [], []
+    for idx, g in enumerate(circuit.gates):
+        link = link_by_gate.get(idx)
+        if link is None:
+            key, rate = local.get(g.kind, (None, 0.0))
+        else:
+            key, rate = "eps_l", link_rate.get((link.m, link.resource))
+            if rate is None:
+                rate = link_rate[link.m, link.resource] = long_range_error(link, rates)
+        if rate > 0:
+            index.append(idx)
+            keys.append(key)
+            values.append(rate)
     arity, layer, qubit = gate_arrays(circuit)
     gate = np.asarray(index, dtype=np.int64)
     site_arity = arity[gate]
@@ -360,6 +340,7 @@ def _site_table(circuit: Circuit, rates: ErrorRates,
         has = site_arity > j
         operands[has, j] = qubit[first[has] + j]
     slot, rate = gate, np.asarray(values, dtype=np.float64)
+    layers = np.ones(len(gate), dtype=np.int64)
     if rates.eps_i > 0:
         run_q, run_slot, run_k = _idle_runs(arity, layer, qubit)
         idle = np.full((len(run_q), width), -1, dtype=np.int64)
@@ -371,14 +352,37 @@ def _site_table(circuit: Circuit, rates: ErrorRates,
         lengths, length_of = np.unique(run_k, return_inverse=True)
         run_rate = np.array([_idle_run_rate(rates.eps_i, k) for k in lengths.tolist()])
         rate = np.concatenate([rate, run_rate[length_of]])
+        layers = np.concatenate([layers, run_k])
     rows = np.lexsort((site_arity, rate))
     r, a = rate[rows], site_arity[rows]
     new = np.ones(len(rows), dtype=bool)
     new[1:] = (r[1:] != r[:-1]) | (a[1:] != a[:-1])
     start = np.flatnonzero(new)
     size = np.diff(np.r_[start, len(rows)])
-    return _SiteTable(slot, operands, site_arity, keys, rate, rows, start, size,
+    return _SiteTable(slot, operands, site_arity, keys, rate, layers, rows, start, size,
                       r[start], 3 * a[start])
+
+
+def build_location_table(
+    circuit: Circuit,
+    rates: ErrorRates,
+    link_by_gate: dict[int, LongRangeLink] | None = None,
+) -> list[Location]:
+    """:func:`_site_table`'s sites as Locations, one per idle layer.
+
+    Rows keep their order; a gate or link row is one Location, an idle run
+    of k layers k equal ``eps_i`` Locations at rate ``eps_i``.
+    """
+    table = _site_table(circuit, rates, link_by_gate)
+    gates = circuit.gates
+    locs = []
+    for slot, q, key, rate, k in zip(table.slot.tolist(), table.operands[:, 0].tolist(),
+                                     table.keys, table.rate.tolist(), table.layers.tolist()):
+        if key == "eps_i":
+            locs += [Location(slot, (q,), key, rates.eps_i)] * k
+        else:
+            locs.append(Location(slot, gates[slot].qubits, key, rate))
+    return locs
 
 
 # -- the Monte Carlo stream -----------------------------------------------------
@@ -621,57 +625,49 @@ def lookup_correct(circuit: Circuit) -> bool:
     return _wrong_counts(circuit, [None], list(range(circuit.params.N))) == [0]
 
 
-def _harmful_fractions(circuit: Circuit, locations: list[Location],
-                       addresses: list[int]) -> list[float]:
-    """Per location, the probability a firing corrupts a uniform basis query."""
-    variants = [(loc.slot, q, pauli) for loc in locations
+def _harmful_fractions(circuit: Circuit, locations: list[Location]) -> list[float]:
+    """Per location, the probability a firing corrupts a uniform basis query.
+
+    Equal locations (the layers of one idle run) are queried once.
+    """
+    N = circuit.params.N
+    distinct = list(dict.fromkeys(locations))
+    variants = [(loc.slot, q, pauli) for loc in distinct
                 for q in loc.qubits for pauli in _PAULIS]
-    wrong = _wrong_counts(circuit, variants, addresses)
-    fractions = []
+    wrong = _wrong_counts(circuit, variants, list(range(N)))
+    fraction = {}
     pos = 0
-    for loc in locations:
+    for loc in distinct:
         w = 1.0 / (3 * len(loc.qubits))
         harmful = 0.0
         for bad in wrong[pos:pos + 3 * len(loc.qubits)]:
-            harmful += w * bad / len(addresses)
-        fractions.append(harmful)
+            harmful += w * bad / N
+        fraction[loc] = harmful
         pos += 3 * len(loc.qubits)
-    return fractions
+    return [fraction[loc] for loc in locations]
 
 
-def harmful_weight_by_rate(
-    circuit: Circuit,
-    locations: list[Location],
-    addresses: list[int] | None = None,
-) -> dict[str, float]:
+def harmful_weight_by_rate(circuit: Circuit, locations: list[Location]) -> dict[str, float]:
     """First-order infidelity slope per error type.
 
     For each location the harmful fraction of its (qubit, Pauli) variants is
-    averaged over the queried addresses; the per-type slope is the sum over
-    that type's locations, so MC infidelity ~= sum_type rate * slope.
+    averaged over all N addresses; the per-type slope is the sum over that
+    type's locations, so MC infidelity ~= sum_type rate * slope.
     """
-    if addresses is None:
-        addresses = list(range(circuit.params.N))
     slopes: dict[str, float] = {}
-    for loc, harmful in zip(locations, _harmful_fractions(circuit, locations, addresses)):
+    for loc, harmful in zip(locations, _harmful_fractions(circuit, locations)):
         slopes[loc.rate_key] = slopes.get(loc.rate_key, 0.0) + harmful
     return slopes
 
 
-def first_order_infidelity(
-    circuit: Circuit,
-    locations: list[Location],
-    addresses: list[int] | None = None,
-) -> float:
+def first_order_infidelity(circuit: Circuit, locations: list[Location]) -> float:
     """Exact first-order expectation sum(rate * harmful fraction).
 
     Unlike the per-type slopes this handles mixed per-location rates, e.g.
     derived long-range errors that grow with the link length.
     """
-    if addresses is None:
-        addresses = list(range(circuit.params.N))
     return sum(loc.rate * harmful for loc, harmful in
-               zip(locations, _harmful_fractions(circuit, locations, addresses)))
+               zip(locations, _harmful_fractions(circuit, locations)))
 
 
 @dataclass
@@ -681,11 +677,6 @@ class ContainmentReport:
     benign: list[tuple[int, int, str]]
     harmful: list[tuple[int, int, str]]
     phase_harmful: list[tuple[int, int, str]]  # benign on basis, harmful in superposition
-
-    @property
-    def benign_fraction(self) -> float:
-        total = len(self.benign) + len(self.harmful)
-        return len(self.benign) / total if total else 1.0
 
 
 def _phase_harmful(circuit: Circuit, faults: list[tuple[int, int, str]]) -> list[bool]:

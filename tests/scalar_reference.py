@@ -64,14 +64,14 @@ def location_table(circuit: Circuit, rates: ErrorRates,
         if idx in link_by_gate:
             rate = long_range_error(link_by_gate[idx], rates)
             if rate > 0:
-                locs.append(Location(idx, g.qubits, "eps_l", rate, idx))
+                locs.append(Location(idx, g.qubits, "eps_l", rate))
             continue
         key = GATE_RATE_KEY.get(g.kind)
         if key is None:
             continue
         rate = getattr(rates, key)
         if rate > 0:
-            locs.append(Location(idx, g.qubits, key, rate, idx))
+            locs.append(Location(idx, g.qubits, key, rate))
     if rates.eps_i > 0:
         touches: dict[int, list[tuple[int, int]]] = {}
         for idx, g in enumerate(circuit.gates):
@@ -101,7 +101,7 @@ def site_table(circuit: Circuit, rates: ErrorRates,
             runs.append([loc, 1])
     return [Location(loc.slot, loc.qubits, loc.rate_key,
                      0.75 * (1.0 - (1.0 - loc.rate / 0.75) ** k) if loc.rate_key == "eps_i"
-                     else loc.rate, loc.gate_index)
+                     else loc.rate)
             for loc, k in runs]
 
 

@@ -86,6 +86,53 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, over, command):
     assert "config error: " in capsys.readouterr().err
 
 
+_PARAMS = {"N": 16, "lambda": 4, "gamma": 2, "b": 1}
+
+
+@pytest.mark.parametrize("key,bad", [
+    ("N", 16.5), ("N", True), ("lambda", 4.5), ("lambda", True),
+    ("gamma", 2.5), ("gamma", True), ("b", 1.5), ("b", True),
+    ("n", 4.5), ("n", True), ("d", 2.5), ("d", True),
+    ("dPrime", 1.5), ("dPrime", True), ("dDoublePrime", 0.5), ("dDoublePrime", False),
+    ("table", 0.5), ("table", True),
+])
+def test_non_integer_config_value_exits_2(tmp_path, capsys, key, bad):
+    # a boolean or a fractional number used to be truncated by int(): N=16.5
+    # ran as N=16 and a declared "dPrime": true passed as 1
+    if key == "table":
+        cfg = _write_config(tmp_path, table=[bad] + [0] * 15)
+    else:
+        cfg = _write_config(tmp_path, params={**_PARAMS, key: bad})
+    assert main(["report", "--config", cfg]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_boolean_long_range_budget_exits_2(tmp_path, capsys):
+    # true used to run as k = 1 and was echoed into the report
+    cfg = _write_config(tmp_path, params={**_PARAMS, "longRangeBudgetK": True})
+    assert main(["report", "--config", cfg]) == 2
+    assert "config error: longRangeBudgetK" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [24.5, True], ids=["fraction", "bool"])
+def test_non_integer_sweep_n_range_exits_2(tmp_path, capsys, bad):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"kRules": ["Zero"], "nRange": [16, bad, 32, 40, 48]}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: nRange entry must be an integer" in capsys.readouterr().err
+
+
+def test_integer_valued_config_numbers_are_accepted(tmp_path, capsys):
+    # integral floats are whole numbers: they run as the integers they name
+    cfg = _write_config(tmp_path, params={"N": 16.0, "lambda": 4.0, "gamma": 2.0, "b": 1.0,
+                                          "n": 4.0, "d": 2.0, "dPrime": 1.0,
+                                          "dDoublePrime": 0.0, "longRangeBudgetK": 1.5},
+                        table=[float(a % 2) for a in range(16)])
+    assert main(["report", "--config", cfg]) == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert (params["N"], params["lambda"], params["longRangeBudgetK"]) == (16, 4, 1.5)
+
+
 @pytest.mark.parametrize("over", [
     {"nRange": ["x", 2, 3, 4, 5]},
     {"rates": {"epsQ": "abc"}},

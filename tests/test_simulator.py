@@ -95,11 +95,11 @@ def test_link_locations_use_long_range_rate(rng):
     link_locs = [l for l in locs if l.rate_key == "eps_l"]
     assert len(link_locs) == len(links)
     for loc in link_locs:
-        m = by_gate[loc.gate_index].m
+        m = by_gate[loc.slot].m
         assert loc.rate == pytest.approx(min(m * 0.001, 0.004))
     # flagged gates must not double-count their local gate rate
     flagged = set(by_gate)
-    assert all(loc.gate_index not in flagged for loc in locs if loc.rate_key == "eps_s")
+    assert all(loc.slot not in flagged for loc in locs if loc.rate_key == "eps_s")
 
 
 @pytest.mark.parametrize("rates", [
@@ -114,7 +114,7 @@ def test_link_location_rate_is_long_range_error(rates, distillation, free_levels
     circ = build_reference("BucketBrigade", 64, random_table(np.random.default_rng(18), 64))
     links, by_gate = classify_links(circ, place_htree(circ), distillation=distillation,
                                     free_levels=free_levels)
-    locs = {loc.gate_index: loc.rate
+    locs = {loc.slot: loc.rate
             for loc in build_location_table(circ, rates, link_by_gate=by_gate)
             if loc.rate_key == "eps_l"}
     assert set(locs) <= set(by_gate)
@@ -457,6 +457,60 @@ def test_lane_passes_split_inside_address_groups(monkeypatch):
     locations = build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
     sites = [(slot, q) for slot in range(40, 46) for q in range(circ.n_qubits)]
     _assert_lanes_match_reference(circ, 6, sites, locations[::25])
+
+
+def test_first_order_queries_each_distinct_location_once(monkeypatch):
+    # the layers of an idle run are equal locations: the first-order
+    # analyses send each distinct one's (qubit, Pauli) variants once
+    circ = build_unified_lookup(derive_params(16, 4, 2),
+                                random_table(np.random.default_rng(3), 16))
+    _, by_gate = classify_links(circ, place_htree(circ))
+    locations = build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
+    distinct = set(locations)
+    assert len(distinct) < len(locations)
+    sent = []
+    wrong_counts = simulator._wrong_counts
+
+    def counting(circuit, faults, addresses):
+        sent.append(len(faults))
+        return wrong_counts(circuit, faults, addresses)
+
+    monkeypatch.setattr(simulator, "_wrong_counts", counting)
+    first_order_infidelity(circ, locations)
+    harmful_weight_by_rate(circ, locations)
+    want = 3 * sum(len(loc.qubits) for loc in distinct)
+    assert sent == [want, want]
+
+
+def test_location_table_expands_the_site_table():
+    # merging the location table's consecutive equal idle entries gives the
+    # site table's rows, each idle run with its number of layers
+    rng = np.random.default_rng(21)
+    for shape in _lane_shapes():
+        if shape[0] == "BucketBrigade":
+            circ = build_reference("BucketBrigade", shape[1], random_table(rng, shape[1]))
+        else:
+            N, lam, gamma, b, readout = shape
+            circ = build_lookup(derive_params(N, lam, gamma, b, readout),
+                                random_table(rng, N, b))
+        by_gate = {}
+        if circ.meta.get("family") == "tree" and circ.params.b == 1:
+            _, by_gate = classify_links(circ, place_htree(circ))
+        for links in ({}, by_gate):
+            rows = []
+            for loc in build_location_table(circ, _LANE_RATES, links):
+                if loc.rate_key == "eps_i" and rows and rows[-1][0] == loc:
+                    rows[-1][1] += 1
+                else:
+                    rows.append([loc, 1])
+            table = simulator._site_table(circ, _LANE_RATES, links)
+            got = [(s, tuple(ops[:a]), key, k) for s, ops, a, key, k in zip(
+                table.slot.tolist(), table.operands.tolist(), table.arity.tolist(), table.keys,
+                table.layers.tolist())]
+            assert got == [(loc.slot, loc.qubits, loc.rate_key, k) for loc, k in rows]
+            assert table.rate.tolist() == [
+                simulator._idle_run_rate(loc.rate, k) if loc.rate_key == "eps_i" else loc.rate
+                for loc, k in rows]
 
 
 # -- the Monte Carlo lanes against the per-trial reference -----------------------
