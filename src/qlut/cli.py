@@ -49,7 +49,7 @@ _K_RULES = {
 
 _METRICS = ("InfidelityExponent", "TCountExponent", "QubitExponent", "DepthExponent")
 
-_SIM_VERDICT_CAP = 256  # exhaustive-address verdict only below this size
+_SIM_VERDICT_CAP = 256  # exhaustive-address verdict only up to this size
 
 # largest sweep size n = log2 N: the budgeted infidelity forms gamma * N,
 # up to 2**(2n), and a float overflows from 2**1024 on
@@ -278,9 +278,9 @@ def cmd_report(args) -> None:
         }
     if params.N <= _SIM_VERDICT_CAP:
         report["simulatedCorrect"] = lookup_correct(circuit)
-        if args.trials:
-            report["monteCarlo"] = monte_carlo_infidelity(
-                circuit, rates, args.trials, args.seed, link_by_gate=inst.by_gate)
+    if args.trials:
+        report["monteCarlo"] = monte_carlo_infidelity(
+            circuit, rates, args.trials, args.seed, link_by_gate=inst.by_gate)
     _emit(report, args.out)
 
 

@@ -16,11 +16,16 @@ differs from the table. ``monte_carlo_infidelity`` runs the faulty trials
 of each block of trials through it, each with its own flip masks;
 ``containment_experiment``, ``first_order_infidelity``,
 ``harmful_weight_by_rate`` and ``lookup_correct`` run their (fault,
-address) queries through it fault-major (``_query_passes``). With the
-superposition check, containment runs the basis-benign injections times
-every address and counts the overlap exactly in integers; this needs a
-circuit whose fault-free run keeps its address register (every built
-lookup does) and rejects any other with InvalidParamsError. A pass carries
+address) queries through it fault-major (``_query_passes``). The
+exhaustive analyses first collapse equivalent single faults
+(``_fault_classes``): a Pauli acts as at the next gate on its qubit, and
+on a basis query Y measures as X and Z as no fault, so one X per distinct
+(next-gate slot, qubit) and one fault-free group answer every injection.
+With the superposition check, containment runs each distinct (class,
+Pauli) among the basis-benign injections times every address and counts
+the overlap exactly in integers; this needs a circuit whose fault-free run
+keeps its address register (every built lookup does) and rejects any
+other with InvalidParamsError. A pass carries
 at most ``_MAX_LANES`` lanes. ``run_basis`` (one lane) and ``run_linear``
 (a superposition's components as lanes) are the plain state-propagation
 entry points.
@@ -38,6 +43,8 @@ and t % _BLOCK alone.
 """
 from __future__ import annotations
 
+import itertools
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -557,10 +564,13 @@ def monte_carlo_infidelity(
     of one pass; trial t's address, events and outcome depend on
     (seed, t // _BLOCK) and t % _BLOCK alone. A fixed ``address`` replaces
     the drawn one. ``on_trial(t, result)`` sees every trial, in order, e.g.
-    to log it.
+    to log it. ``trials`` below 1 and a negative ``seed`` are
+    InvalidParamsErrors.
     """
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
+    if seed < 0:
+        raise InvalidParamsError(f"seed must be >= 0, got {seed}")
     table = _site_table(circuit, rates, link_by_gate)
     failures = _run_trials(circuit, table, seed, range(trials), address, on_trial)
     p = failures / trials
@@ -625,26 +635,67 @@ def lookup_correct(circuit: Circuit) -> bool:
     return _wrong_counts(circuit, [None], list(range(circuit.params.N))) == [0]
 
 
+def _fault_classes(circuit: Circuit, slot: np.ndarray,
+                   qubit: np.ndarray) -> tuple[list[tuple[int, int, str] | None], np.ndarray]:
+    """Collapse the single faults at sites (slot[i], qubit[i]) for basis queries.
+
+    Two rules are exact. A Pauli on qubit q before gate s acts as the same
+    Pauli before the first gate at or after s that touches q (len(gates) if
+    none): the gates in between leave q's bit, and so the phase the Pauli
+    adds, alone. And a basis query measures the same (address, word) under
+    Y as under X, and under Z as with no fault. Returns (faults, cls):
+    faults[0] is None and faults[k] an X at the k-th distinct (next-gate
+    slot, qubit); site i's X and Y measure what faults[cls[i]] measures, its
+    Z what faults[0] measures.
+    """
+    gates = circuit.gates
+    slots, qubits = slot.tolist(), qubit.tolist()
+    if all(s < len(gates) and q in gates[s][1] for s, q in zip(slots, qubits)):
+        # every site sits right before a gate on its qubit, as the sites of
+        # every built Location do, so each is its own class; this skips the
+        # search, which costs more than a small first-order call's query pass
+        index: dict[tuple[int, int], int] = {}
+        cls = [index.setdefault(site, len(index) + 1) for site in zip(slots, qubits)]
+        return [None, *((s, q, "X") for s, q in index)], np.array(cls, dtype=np.int64)
+    arity, _, touched = gate_arrays(circuit)
+    span = len(arity) + 1   # slot codes 0..len(gates) per qubit
+    touches = np.sort(touched * span + np.repeat(np.arange(len(arity)), arity))
+    touches = np.append(touches, np.iinfo(np.int64).max)
+    code = qubit * span + slot
+    nxt = touches[touches.searchsorted(code)]
+    code = np.where(nxt // span == qubit, nxt, qubit * span + span - 1)
+    classes = np.unique(code)
+    faults = [None, *zip((classes % span).tolist(), (classes // span).tolist(),
+                         itertools.repeat("X"))]
+    return faults, classes.searchsorted(code) + 1
+
+
 def _harmful_fractions(circuit: Circuit, locations: list[Location]) -> list[float]:
     """Per location, the probability a firing corrupts a uniform basis query.
 
-    Equal locations (the layers of one idle run) are queried once.
+    Equal locations (the layers of one idle run) are queried once, and each
+    (qubit, Pauli) variant takes its :func:`_fault_classes` count; the sum
+    runs over X, Y and Z per qubit, as one query per variant would.
     """
     N = circuit.params.N
-    distinct = list(dict.fromkeys(locations))
-    variants = [(loc.slot, q, pauli) for loc in distinct
-                for q in loc.qubits for pauli in _PAULIS]
-    wrong = _wrong_counts(circuit, variants, list(range(N)))
-    fraction = {}
-    pos = 0
-    for loc in distinct:
+    index: dict[Location, int] = {}
+    of = [index.setdefault(loc, len(index)) for loc in locations]
+    pairs = [(loc.slot, q) for loc in index for q in loc.qubits]
+    site = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+    faults, cls = _fault_classes(circuit, site[0::2], site[1::2])
+    wrong = _wrong_counts(circuit, faults, list(range(N)))
+    z = wrong[0]
+    flips = iter(np.asarray(wrong)[cls].tolist())
+    fraction = []
+    for loc in index:
         w = 1.0 / (3 * len(loc.qubits))
         harmful = 0.0
-        for bad in wrong[pos:pos + 3 * len(loc.qubits)]:
-            harmful += w * bad / N
-        fraction[loc] = harmful
-        pos += 3 * len(loc.qubits)
-    return [fraction[loc] for loc in locations]
+        for x in itertools.islice(flips, len(loc.qubits)):
+            harmful += w * x / N
+            harmful += w * x / N
+            harmful += w * z / N
+        fraction.append(harmful)
+    return [fraction[i] for i in of]
 
 
 def harmful_weight_by_rate(circuit: Circuit, locations: list[Location]) -> dict[str, float]:
@@ -737,20 +788,53 @@ def containment_experiment(
     with ``check_superposition``, sites that only corrupt the relative phase
     of a uniform-superposition query are reported separately, and a circuit
     whose fault-free run changes its address register is an
-    InvalidParamsError.
+    InvalidParamsError. ``sites`` defaults to every (slot, qubit); an
+    address outside [0, N), a site outside 0 <= slot <= len(gates) and
+    0 <= qubit < n_qubits, and a Pauli other than X, Y or Z are
+    InvalidParamsErrors. The report lists every injection, site by site;
+    the queries run once per :func:`_fault_classes` class, and the
+    superposition check once per (class, Pauli) among the basis-benign
+    injections.
     """
+    N, G, nq = circuit.params.N, len(circuit.gates), circuit.n_qubits
+    if not 0 <= address < N:
+        raise InvalidParamsError(f"address {address} outside [0, {N})")
+    for pauli in paulis:
+        if pauli not in _PAULIS:
+            raise InvalidParamsError(f"unknown Pauli {pauli!r}, expected X, Y or Z")
     if sites is None:
-        nq = circuit.n_qubits
-        sites = [(slot, q) for slot in range(len(circuit.gates) + 1) for q in range(nq)]
-    injections = [(slot, q, pauli) for slot, q in sites for pauli in paulis]
-    wrong = _wrong_counts(circuit, injections, [address])
-    benign = [inj for inj, w in zip(injections, wrong) if not w]
+        slot = np.repeat(np.arange(G + 1), nq)
+        qubit = np.tile(np.arange(nq), G + 1)
+    else:
+        try:
+            site = np.fromiter(map(operator.index, itertools.chain.from_iterable(sites)),
+                               np.int64)
+        except (TypeError, OverflowError):
+            site = None
+        if site is None or len(site) != 2 * len(sites):
+            raise InvalidParamsError("sites must be (slot, qubit) pairs of integers")
+        slot, qubit = site[0::2], site[1::2]
+        if len(slot) and not (0 <= slot.min() and slot.max() <= G
+                              and 0 <= qubit.min() and qubit.max() < nq):
+            raise InvalidParamsError(
+                f"sites need 0 <= slot <= {G} and 0 <= qubit < {nq}")
+    faults, cls = _fault_classes(circuit, slot, qubit)
+    wrong = np.asarray(_wrong_counts(circuit, faults, [address]))
+    pauli = np.array([_PAULIS.index(p) for p in paulis], dtype=np.int64)
+    # per injection (site-major, as listed): its class, and its basis verdict
+    kind = (cls[:, None] * 3 + pauli).reshape(-1)
+    harmful = wrong[np.where(kind % 3 == 2, 0, kind // 3)] > 0
+    injections = [(s, q, p) for s, q in zip(slot.tolist(), qubit.tolist()) for p in paulis]
+    benign = list(itertools.compress(injections, (~harmful).tolist()))
     report = ContainmentReport(address, benign,
-                               [inj for inj, w in zip(injections, wrong) if w], [])
+                               list(itertools.compress(injections, harmful.tolist())), [])
     if check_superposition:
-        flagged = _phase_harmful(circuit, benign)
-        report.benign = [inj for inj, bad in zip(benign, flagged) if not bad]
-        report.phase_harmful = [inj for inj, bad in zip(benign, flagged) if bad]
+        kinds, of = np.unique(kind[~harmful], return_inverse=True)
+        flagged = _phase_harmful(circuit, [(*faults[k // 3][:2], _PAULIS[k % 3])
+                                           for k in kinds.tolist()])
+        flagged = np.asarray(flagged, dtype=bool)[of.reshape(-1)]
+        report.benign = list(itertools.compress(benign, (~flagged).tolist()))
+        report.phase_harmful = list(itertools.compress(benign, flagged.tolist()))
     return report
 
 

@@ -5,7 +5,9 @@ These are the loops the bit-sliced analyses replace: one basis run per
 (site, Pauli) and address, one superposition run per basis-benign
 injection, and one basis run per faulty Monte Carlo trial after a
 per-site loop over the block stream's hits, with the idle runs merged from
-a table built one layer at a time.
+a table built one layer at a time. The lane references run every
+(site, Pauli) injection as its own lane, where the exhaustive analyses
+query one lane per class of equivalent single faults.
 The per-gate loops are the ones the array-speed instance pipeline replaces:
 ``emit`` one gate at a time with op lists rebuilt per repetition, link
 classification through ``GridPlacement.distance`` per operand pair, the
@@ -216,6 +218,58 @@ def harmful_weight_by_rate(locations: list[Location],
     for loc, f in zip(locations, fractions):
         slopes[loc.rate_key] = slopes.get(loc.rate_key, 0.0) + f
     return slopes
+
+
+LANE_CHUNK = 1024
+
+
+def _chunked(analysis, circuit: Circuit, faults: list, *args) -> list:
+    """``analysis(circuit, faults, *args)``, ``LANE_CHUNK`` faults at a time."""
+    out: list = []
+    for start in range(0, len(faults), LANE_CHUNK):
+        out += analysis(circuit, faults[start:start + LANE_CHUNK], *args)
+    return out
+
+
+def lane_containment(circuit: Circuit, address: int, sites: list[tuple[int, int]],
+                     paulis: tuple[str, ...] = PAULIS,
+                     check_superposition: bool = False) -> ContainmentReport:
+    """The per-injection lane path: every (site, Pauli) as its own query,
+    and every basis-benign one as its own superposition check.
+
+    Injections go ``LANE_CHUNK`` to a call: a pass's fault masks reach as
+    far as its last lane, so one call's cost grows with its lanes squared.
+    """
+    injections = [(slot, q, pauli) for slot, q in sites for pauli in paulis]
+    wrong = _chunked(simulator._wrong_counts, circuit, injections, [address])
+    benign = [inj for inj, w in zip(injections, wrong) if not w]
+    report = ContainmentReport(address, benign,
+                               [inj for inj, w in zip(injections, wrong) if w], [])
+    if check_superposition:
+        flagged = _chunked(simulator._phase_harmful, circuit, benign)
+        report.benign = [inj for inj, bad in zip(benign, flagged) if not bad]
+        report.phase_harmful = [inj for inj, bad in zip(benign, flagged) if bad]
+    return report
+
+
+def lane_harmful_fractions(circuit: Circuit, locations: list[Location]) -> list[float]:
+    """The per-variant lane path: every distinct location's (qubit, Pauli)
+    variants as their own queries over all addresses."""
+    N = circuit.params.N
+    distinct = list(dict.fromkeys(locations))
+    variants = [(loc.slot, q, pauli) for loc in distinct
+                for q in loc.qubits for pauli in PAULIS]
+    wrong = simulator._wrong_counts(circuit, variants, list(range(N)))
+    fraction = {}
+    pos = 0
+    for loc in distinct:
+        w = 1.0 / (3 * len(loc.qubits))
+        harmful = 0.0
+        for bad in wrong[pos:pos + 3 * len(loc.qubits)]:
+            harmful += w * bad / N
+        fraction[loc] = harmful
+        pos += 3 * len(loc.qubits)
+    return [fraction[loc] for loc in locations]
 
 
 # -- per-gate build, link classification, schedule and export -----------------

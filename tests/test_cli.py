@@ -345,6 +345,30 @@ def test_report_monte_carlo_matches_simulate(tmp_path, capsys, params):
     assert report["monteCarlo"] == simulated
 
 
+def test_report_monte_carlo_above_the_verdict_cap(tmp_path, capsys):
+    # past N = 256 report drops only the exhaustive verdict: --trials still
+    # runs the Monte Carlo simulate runs
+    cfg = _write_config(tmp_path, params={"N": 512, "lambda": 16, "gamma": 4},
+                        rates={"epsQ": 1e-3, "epsC": 1e-3, "epsF": 1e-2})
+    assert main(["report", "--config", cfg, "--trials", "300", "--seed", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(["simulate", "--config", cfg, "--trials", "300", "--seed", "1"]) == 0
+    simulated = json.loads(capsys.readouterr().out)
+    assert "simulatedCorrect" not in report
+    assert simulated["failures"] > 0
+    assert report["monteCarlo"] == simulated
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "-1"],
+    ["report", "--trials", "5", "--seed", "-1"],
+], ids=["simulate", "report"])
+def test_negative_seed_exits_3(tmp_path, capsys, argv):
+    cfg = _write_config(tmp_path)
+    assert main(argv + ["--config", cfg]) == 3
+    assert "seed" in capsys.readouterr().err
+
+
 def test_long_range_budget_k_frees_low_level_links(tmp_path, capsys):
     # links on router levels below k are free: export-layout marks them and
     # simulate stops charging them

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from unittest import mock
@@ -17,8 +18,8 @@ from qlut.ir import CircuitBuilder, GateKind, Role, Stage
 from qlut.layout import classify_links, long_range_error, place_htree
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.simulator import (
-    basis_input, build_location_table, containment_experiment,
-    first_order_infidelity, harmful_weight_by_rate, monte_carlo_infidelity,
+    Location, basis_input, build_location_table, containment_experiment,
+    first_order_infidelity, harmful_weight_by_rate, lookup_correct, monte_carlo_infidelity,
     off_path_router_qubits, query_path_routers, run_basis, run_linear, sparse_overlap,
     uniform_address_superposition,
 )
@@ -460,8 +461,9 @@ def test_lane_passes_split_inside_address_groups(monkeypatch):
 
 
 def test_first_order_queries_each_distinct_location_once(monkeypatch):
-    # the layers of an idle run are equal locations: the first-order
-    # analyses send each distinct one's (qubit, Pauli) variants once
+    # the layers of an idle run are equal locations, and X, Y and Z at one
+    # (slot, qubit) measure like X, X and no fault: the first-order analyses
+    # send one X per distinct (slot, qubit) pair plus the fault-free group
     circ = build_unified_lookup(derive_params(16, 4, 2),
                                 random_table(np.random.default_rng(3), 16))
     _, by_gate = classify_links(circ, place_htree(circ))
@@ -478,8 +480,134 @@ def test_first_order_queries_each_distinct_location_once(monkeypatch):
     monkeypatch.setattr(simulator, "_wrong_counts", counting)
     first_order_infidelity(circ, locations)
     harmful_weight_by_rate(circ, locations)
-    want = 3 * sum(len(loc.qubits) for loc in distinct)
+    want = len({(loc.slot, q) for loc in distinct for q in loc.qubits}) + 1
+    assert want == 197
     assert sent == [want, want]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(shape=st.sampled_from(_lane_shapes()), data=st.data())
+def test_pauli_acts_as_at_the_next_gate_on_its_qubit(shape, data):
+    # the gates between a fault and the next gate on its qubit leave that
+    # qubit alone, so moving the fault there changes no bit and no phase
+    circ, _ = _lane_circuit(shape, data)
+    gates = len(circ.gates)
+    slot = data.draw(st.integers(0, gates), label="slot")
+    qubit = data.draw(st.integers(0, circ.n_qubits - 1), label="qubit")
+    pauli = data.draw(st.sampled_from("XYZ"), label="pauli")
+    init = data.draw(st.integers(0, (1 << circ.n_qubits) - 1), label="input bits")
+    nxt = next((s for s in range(slot, gates) if qubit in circ.gates[s].qubits), gates)
+    faults, cls = simulator._fault_classes(circ, np.array([slot]), np.array([qubit]))
+    assert faults[0] is None and faults[cls[0]] == (nxt, qubit, "X")
+    assert run_basis(circ, init, {slot: [(qubit, pauli)]}) == \
+        run_basis(circ, init, {nxt: [(qubit, pauli)]})
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1)
+@given(data=st.data())
+@pytest.mark.parametrize("shape", _lane_shapes(),
+                         ids=lambda s: "-".join(str(getattr(v, "value", v)) for v in s))
+def test_full_site_containment_matches_lane_reference(shape, data):
+    # every (slot, qubit) site, collapsed to one query per class, against
+    # one lane per injection; the superposition check up to N = 8
+    circ, _ = _lane_circuit(shape, data)
+    address = data.draw(st.integers(0, circ.params.N - 1), label="address")
+    check = circ.params.N <= 8
+    sites = [(slot, q) for slot in range(len(circ.gates) + 1) for q in range(circ.n_qubits)]
+    want = scalar_reference.lane_containment(circ, address, sites,
+                                             check_superposition=check)
+    assert containment_experiment(circ, address, check_superposition=check) == want
+
+
+def test_containment_classes_repeated_and_partial_inputs():
+    # repeated sites, sites that all sit right before a gate on their qubit,
+    # a Pauli subset in its own order, a repeated Pauli and no sites at all
+    # keep the per-injection lists
+    circ = build_unified_lookup(derive_params(8, 4, 2),
+                                random_table(np.random.default_rng(4), 8))
+    at_gates = [(slot, q) for slot, g in enumerate(circ.gates[:40]) for q in g.qubits]
+    assert all(q in circ.gates[slot].qubits for slot, q in at_gates)
+    for sites in ([(30, 3), (0, 0), (30, 3), (len(circ.gates), 7), (12, 5), (13, 5)],
+                  at_gates + at_gates[:5]):
+        for paulis in (("Z", "X"), ("Y", "Y"), ("Z",), ()):
+            for address in (0, 5):
+                want = scalar_reference.lane_containment(circ, address, sites, paulis, True)
+                got = containment_experiment(circ, address, sites=sites, paulis=paulis,
+                                             check_superposition=True)
+                assert got == want
+    assert containment_experiment(circ, 1, sites=[]) == simulator.ContainmentReport(1, [], [], [])
+
+
+def test_first_order_locations_off_their_gates_match_lane_reference():
+    # hand-made locations whose qubits the gate at their slot need not act
+    # on, one after the last gate: the first-order analyses collapse them by
+    # next-gate slot and still return the per-variant lane path's floats
+    circ = build_unified_lookup(derive_params(16, 4, 2),
+                                random_table(np.random.default_rng(6), 16))
+    rng = np.random.default_rng(7)
+    locations = []
+    for _ in range(60):
+        slot = int(rng.integers(0, len(circ.gates) + 1))
+        qubits = tuple(int(q) for q in rng.choice(circ.n_qubits, int(rng.integers(1, 4)),
+                                                  replace=False))
+        locations.append(Location(slot, qubits, "eps_q", float(rng.uniform(1e-4, 1e-2))))
+    locations += [Location(len(circ.gates), (0, circ.n_qubits - 1), "eps_i", 1e-3)]
+    locations += locations[:10]
+    fractions = scalar_reference.lane_harmful_fractions(circ, locations)
+    assert any(f > 0 for f in fractions)
+    assert first_order_infidelity(circ, locations) == \
+        scalar_reference.first_order_infidelity(locations, fractions)
+    assert harmful_weight_by_rate(circ, locations) == \
+        scalar_reference.harmful_weight_by_rate(locations, fractions)
+
+
+def test_first_order_counts_z_when_fault_free_queries_fail():
+    # against a table it does not hold, the circuit's fault-free queries
+    # fail at some addresses, so every Z counts: the first-order analyses
+    # must take Z's count from the fault-free group and sum X, Y and Z per
+    # qubit in the per-variant order to return the same floats
+    rng = np.random.default_rng(9)
+    built = build_unified_lookup(derive_params(16, 4, 2), random_table(rng, 16))
+    _, by_gate = classify_links(built, place_htree(built))
+    circ = dataclasses.replace(built, table=random_table(rng, 16))
+    assert not lookup_correct(circ)
+    locations = build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
+    fractions = scalar_reference.lane_harmful_fractions(circ, locations)
+    assert first_order_infidelity(circ, locations) == \
+        scalar_reference.first_order_infidelity(locations, fractions)
+    assert harmful_weight_by_rate(circ, locations) == \
+        scalar_reference.harmful_weight_by_rate(locations, fractions)
+
+
+@pytest.mark.parametrize("address", [-1, 8])
+def test_containment_rejects_an_address_outside_the_table(address):
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    with pytest.raises(InvalidParamsError, match="address"):
+        containment_experiment(circ, address, sites=[(0, 0)])
+
+
+@pytest.mark.parametrize("site", ["slot -1", "slot past the end", "qubit -1",
+                                  "qubit past the last", "fractional slot", "three numbers"])
+def test_containment_rejects_a_site_outside_the_circuit(site):
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    bad = {"slot -1": (-1, 0), "slot past the end": (len(circ.gates) + 1, 0),
+           "qubit -1": (3, -1), "qubit past the last": (3, circ.n_qubits),
+           "fractional slot": (2.5, 0), "three numbers": (3, 0, 1)}[site]
+    with pytest.raises(InvalidParamsError, match="sites"):
+        containment_experiment(circ, 2, sites=[(0, 0), bad])
+
+
+@pytest.mark.parametrize("pauli", ["W", "x", "I"])
+def test_containment_rejects_an_unknown_pauli(pauli):
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    with pytest.raises(InvalidParamsError, match="Pauli"):
+        containment_experiment(circ, 2, sites=[(0, 0)], paulis=("X", pauli))
+
+
+def test_monte_carlo_rejects_a_negative_seed():
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    with pytest.raises(InvalidParamsError, match="seed"):
+        monte_carlo_infidelity(circ, _LANE_RATES, 10, -1)
 
 
 def test_location_table_expands_the_site_table():
