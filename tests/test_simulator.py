@@ -526,7 +526,6 @@ def test_containment_classes_repeated_and_partial_inputs():
     circ = build_unified_lookup(derive_params(8, 4, 2),
                                 random_table(np.random.default_rng(4), 8))
     at_gates = [(slot, q) for slot, g in enumerate(circ.gates[:40]) for q in g.qubits]
-    assert all(q in circ.gates[slot].qubits for slot, q in at_gates)
     for sites in ([(30, 3), (0, 0), (30, 3), (len(circ.gates), 7), (12, 5), (13, 5)],
                   at_gates + at_gates[:5]):
         for paulis in (("Z", "X"), ("Y", "Y"), ("Z",), ()):
