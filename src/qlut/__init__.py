@@ -19,8 +19,6 @@ from .params import (
     specialization,
 )
 from .resources import count_resources
-from .simulator import (
-    containment_experiment, monte_carlo_infidelity, run_basis, run_linear,
-)
+from .simulator import containment_experiment, monte_carlo_infidelity, run_basis
 
 __version__ = "0.1.0"

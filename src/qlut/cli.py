@@ -49,7 +49,8 @@ _K_RULES = {
 
 _METRICS = ("InfidelityExponent", "TCountExponent", "QubitExponent", "DepthExponent")
 
-_SIM_VERDICT_CAP = 256  # exhaustive-address verdict only up to this size
+# simulatedCorrect up to this N; kept for perfbench/reference.json's report digests, not cost
+_SIM_VERDICT_CAP = 256
 
 # largest sweep size n = log2 N: the budgeted infidelity forms gamma * N,
 # up to 2**(2n), and a float overflows from 2**1024 on

@@ -2,12 +2,14 @@
 
 A Circuit is an ordered tuple of self-inverse gates with ASAP logical layers,
 a role table for its qubits, and named registers. Circuits are frozen after
-build and safe to share across threads.
+build and safe to share across threads, and each computes its read-only
+numpy view, ``Circuit.gate_arrays``, once, on first use.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Iterable, NamedTuple
@@ -85,6 +87,36 @@ class RouterIds:
         return (self.t, self.inp, self.left, self.right)
 
 
+class GateArrays:
+    """A circuit's gates and table as read-only numpy arrays.
+
+    Per gate its ``arity``, ``layer`` and ``start``, the offset of its first
+    operand in ``qubit`` (every gate's operands in gate order); ``words`` is
+    the table as int64, empty without one.
+    """
+
+    def __init__(self, circuit: Circuit) -> None:
+        gates, operands, table = circuit.gates, itemgetter(1), circuit.table
+        self.arity = np.fromiter(map(len, map(operands, gates)), np.intp, len(gates))
+        self.layer = np.fromiter(map(itemgetter(2), gates), np.intp, len(gates))
+        self.start = np.cumsum(self.arity) - self.arity
+        self.qubit = np.fromiter(chain.from_iterable(map(operands, gates)), np.intp,
+                                 int(self.arity.sum()))
+        self.words = np.asarray(() if table is None else table.words, dtype=np.int64)
+        for a in vars(self).values():
+            a.flags.writeable = False
+
+    @cached_property
+    def touches(self) -> np.ndarray:
+        """Each qubit's timeline, sorted on first use: the code qubit *
+        (len(gates) + 1) + gate of every operand, ascending, then int64 max."""
+        span = len(self.arity) + 1
+        codes = np.sort(self.qubit * span + np.repeat(np.arange(span - 1), self.arity))
+        codes = np.append(codes, np.iinfo(np.int64).max)
+        codes.flags.writeable = False
+        return codes
+
+
 @dataclass(frozen=True)
 class Circuit:
     qubits: tuple[QubitInfo, ...]
@@ -108,6 +140,8 @@ class Circuit:
 
     def gates_in_stage(self, stage: str) -> list[Gate]:
         return [g for g in self.gates if g.stage == stage]
+
+    gate_arrays = cached_property(GateArrays)   # built on first use
 
 
 class CircuitBuilder:
@@ -186,17 +220,6 @@ class CircuitBuilder:
             table=self.table, registers=self.registers, routers=self.routers,
             meta=self.meta,
         )
-
-
-def gate_arrays(circuit: Circuit) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gate list as arrays: per gate its arity and layer, and every
-    gate's operand qubits in gate order, as one flat array."""
-    gates = circuit.gates
-    operands = itemgetter(1)
-    arity = np.fromiter(map(len, map(operands, gates)), np.intp, len(gates))
-    layer = np.fromiter(map(itemgetter(2), gates), np.intp, len(gates))
-    qubit = np.fromiter(chain.from_iterable(map(operands, gates)), np.intp, int(arity.sum()))
-    return arity, layer, qubit
 
 
 def check_layer_disjointness(circuit: Circuit) -> bool:

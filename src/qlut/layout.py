@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InitialErrorTooLargeError, InvalidParamsError, PlacementOverflowError
-from .ir import Circuit, GateKind, Role, gate_arrays
+from .ir import Circuit, GateKind, Role
 from .params import ErrorRates
 
 _new_tuple = tuple.__new__
@@ -325,14 +325,13 @@ def classify_links(
     are classified per arity as numpy arrays; links come in gate order.
     """
     n = circuit.n_qubits
-    arity, _, flat = gate_arrays(circuit)
-    start = np.cumsum(arity) - arity
+    view = circuit.gate_arrays
     row, col = _grid_arrays(placement, n)
     level_of = np.fromiter((info.level for info in circuit.qubits), np.intp, n)
     found = []  # per arity: (gate index, m, source, target, level or -1)
-    for k in (np.flatnonzero(np.bincount(arity)[2:]) + 2).tolist():
-        gate = np.flatnonzero(arity == k)
-        q = flat[start[gate, None] + np.arange(k)]
+    for k in (np.flatnonzero(np.bincount(view.arity)[2:]) + 2).tolist():
+        gate = np.flatnonzero(view.arity == k)
+        q = view.qubit[view.start[gate, None] + np.arange(k)]
         r, c = row[q], col[q]
         dist = (np.abs(r[:, :, None] - r[:, None, :])
                 + np.abs(c[:, :, None] - c[:, None, :]))

@@ -25,10 +25,8 @@ With the superposition check, containment runs each distinct (class,
 Pauli) among the basis-benign injections times every address and counts
 the overlap exactly in integers; this needs a circuit whose fault-free run
 keeps its address register (every built lookup does) and rejects any
-other with InvalidParamsError. A pass carries
-at most ``_MAX_LANES`` lanes. ``run_basis`` (one lane) and ``run_linear``
-(a superposition's components as lanes) are the plain state-propagation
-entry points.
+other with InvalidParamsError. A pass carries at most ``_MAX_LANES`` lanes.
+``run_basis`` (one lane) is the plain state-propagation entry point.
 
 One function, ``_site_table``, makes the fault sites, as numpy arrays: one
 row per gate or link site and one per idle run, a run of k idle layers
@@ -52,42 +50,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParamsError
-from .ir import Circuit, GateKind, gate_arrays
+from .ir import Circuit, GateKind
 from .layout import LongRangeLink, long_range_error
 from .params import ErrorRates, address_bits
-
-# -- register packing ---------------------------------------------------------
-
-def pack_register(bits_value: int, reg: tuple[int, ...], big_endian: bool = True) -> int:
-    """Scatter a register value onto qubit-id bit positions."""
-    packed = 0
-    width = len(reg)
-    for i, q in enumerate(reg):
-        shift = (width - 1 - i) if big_endian else i
-        if (bits_value >> shift) & 1:
-            packed |= 1 << q
-    return packed
-
-
-def read_register(bits: int, reg: tuple[int, ...], big_endian: bool = True) -> int:
-    value = 0
-    width = len(reg)
-    for i, q in enumerate(reg):
-        shift = (width - 1 - i) if big_endian else i
-        if (bits >> q) & 1:
-            value |= 1 << shift
-    return value
-
-
-def basis_input(circuit: Circuit, address: int) -> int:
-    """Bit mask of the all-zero input with the address register set."""
-    return pack_register(address, circuit.reg("address"))
-
-
-def expected_word(circuit: Circuit, address: int) -> int:
-    table, params = circuit.table, circuit.params
-    return sum(table.bit(address, w) << w for w in range(params.b))
-
 
 # -- bit-sliced lane engine -----------------------------------------------------
 
@@ -151,27 +116,10 @@ def run_lanes(circuit: Circuit, planes: list[int], lanes: int,
     return lo, hi
 
 
-def _transpose(rows: list[int], width: int) -> list[int]:
-    """Bit-matrix transpose: bit i of out[j] is bit j of rows[i]."""
-    out = [0] * width
-    for i, row in enumerate(rows):
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return out
-
-
 def _lane_bits(plane: int, lanes: int) -> np.ndarray:
     """Bit i of ``plane`` as element i, for the first ``lanes`` lanes."""
     return np.unpackbits(np.frombuffer(plane.to_bytes(-(-lanes // 8), "little"), np.uint8),
                          count=lanes, bitorder="little")
-
-
-def _broadcast(events: dict[int, list[tuple[int, str]]] | None, full: int) -> LaneFaults:
-    """``run_basis``-style events as faults on every lane of ``full``."""
-    return {slot: [(q, *(full * m for m in _PAULI_MASKS[p])) for q, p in evs]
-            for slot, evs in (events or {}).items()}
 
 
 def run_basis(
@@ -183,41 +131,14 @@ def run_basis(
 
     ``events[slot]`` lists (qubit, pauli) errors applied before gate ``slot``;
     slot == len(gates) applies after the final gate. The one-lane case of
-    :func:`run_lanes`.
+    :func:`run_lanes`. ``init_bits`` must lie in [0, 2**n_qubits).
     """
-    planes = _transpose([init_bits], circuit.n_qubits)
-    lo, hi = run_lanes(circuit, planes, 1, _broadcast(events, 1))
-    return _transpose(planes, 1)[0], lo | hi << 1
-
-
-def run_linear(
-    circuit: Circuit,
-    amplitudes: dict[int, complex],
-    events: dict[int, list[tuple[int, str]]] | None = None,
-) -> dict[int, complex]:
-    """Evolve a sparse superposition; its basis components are the lanes."""
-    out: dict[int, complex] = {}
-    components = list(amplitudes.items())
-    for start in range(0, len(components), _MAX_LANES):
-        chunk = components[start:start + _MAX_LANES]
-        lanes = len(chunk)
-        planes = _transpose([bits for bits, _ in chunk], circuit.n_qubits)
-        lo, hi = run_lanes(circuit, planes, lanes, _broadcast(events, (1 << lanes) - 1))
-        for (_, amp), ob, ph in zip(chunk, _transpose(planes, lanes),
-                                    _transpose([lo, hi], lanes)):
-            out[ob] = out.get(ob, 0.0) + amp * (1j) ** ph
-    return out
-
-
-def sparse_overlap(a: dict[int, complex], b: dict[int, complex]) -> float:
-    inner = sum(np.conj(a[k]) * v for k, v in b.items() if k in a)
-    return abs(inner) ** 2
-
-
-def uniform_address_superposition(circuit: Circuit) -> dict[int, complex]:
-    n = circuit.params.n
-    amp = 1.0 / np.sqrt(1 << n)
-    return {basis_input(circuit, a): amp for a in range(1 << n)}
+    if not 0 <= init_bits < 1 << circuit.n_qubits:
+        raise InvalidParamsError(f"init_bits {init_bits} outside [0, 2**{circuit.n_qubits})")
+    planes = [init_bits >> q & 1 for q in range(circuit.n_qubits)]
+    lo, hi = run_lanes(circuit, planes, 1, {slot: [(q, *_PAULI_MASKS[p]) for q, p in evs]
+                                            for slot, evs in (events or {}).items()})
+    return sum(bit << q for q, bit in enumerate(planes)), lo | hi << 1
 
 
 # -- error locations -----------------------------------------------------------
@@ -256,22 +177,6 @@ class TrialResult:
     ok: bool
     address: int
     events: list[ErrorEvent] = field(default_factory=list)
-
-
-def _idle_runs(arity: np.ndarray, layer: np.ndarray,
-               qubit: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(qubit, slot, layers) of every idle run, by qubit and then layer.
-
-    Per qubit, program order is layer order (the builders lay gates out as
-    soon as possible), so the idle layers between two consecutive gates on a
-    qubit form one run, charged before the later gate.
-    """
-    gate = np.repeat(np.arange(len(arity)), arity)
-    order = np.argsort(qubit, kind="stable")
-    q, g, t = qubit[order], gate[order], np.repeat(layer, arity)[order]
-    gap = t[1:] - t[:-1] - 1
-    run = (q[1:] == q[:-1]) & (gap > 0)
-    return q[1:][run], g[1:][run], gap[run]
 
 
 def _idle_run_rate(p: float, layers: int) -> float:
@@ -337,19 +242,22 @@ def _site_table(circuit: Circuit, rates: ErrorRates,
             index.append(idx)
             keys.append(key)
             values.append(rate)
-    arity, layer, qubit = gate_arrays(circuit)
+    view = circuit.gate_arrays
     gate = np.asarray(index, dtype=np.int64)
-    site_arity = arity[gate]
+    site_arity = view.arity[gate]
     width = int(site_arity.max(initial=1))
     operands = np.full((len(gate), width), -1, dtype=np.int64)
-    first = (np.cumsum(arity) - arity)[gate]
     for j in range(width):
         has = site_arity > j
-        operands[has, j] = qubit[first[has] + j]
+        operands[has, j] = view.qubit[view.start[gate[has]] + j]
     slot, rate = gate, np.asarray(values, dtype=np.float64)
     layers = np.ones(len(gate), dtype=np.int64)
     if rates.eps_i > 0:
-        run_q, run_slot, run_k = _idle_runs(arity, layer, qubit)
+        # a qubit's touches are in layer order (ASAP), so each gap between two is a run
+        run_q, run_slot = np.divmod(view.touches[:-1], len(circuit.gates) + 1)
+        run_k = np.diff(view.layer[run_slot]) - 1
+        run = (run_q[1:] == run_q[:-1]) & (run_k > 0)
+        run_q, run_slot, run_k = run_q[1:][run], run_slot[1:][run], run_k[run]
         idle = np.full((len(run_q), width), -1, dtype=np.int64)
         idle[:, 0] = run_q
         slot = np.concatenate([slot, run_slot])
@@ -471,8 +379,7 @@ def _query_lanes(circuit: Circuit, addresses: np.ndarray,
     planes = [0] * circuit.n_qubits
     _lane_planes(addresses, address, True, planes)
     wanted = planes.copy()
-    words = np.asarray(circuit.table.words, dtype=np.int64)
-    _lane_planes(words[addresses], bus, False, wanted)
+    _lane_planes(circuit.gate_arrays.words[addresses], bus, False, wanted)
     lo, hi = run_lanes(circuit, planes, len(addresses), faults)
     wrong = 0
     for q in address + bus:
@@ -564,13 +471,15 @@ def monte_carlo_infidelity(
     of one pass; trial t's address, events and outcome depend on
     (seed, t // _BLOCK) and t % _BLOCK alone. A fixed ``address`` replaces
     the drawn one. ``on_trial(t, result)`` sees every trial, in order, e.g.
-    to log it. ``trials`` below 1 and a negative ``seed`` are
-    InvalidParamsErrors.
+    to log it. ``trials`` below 1, a negative ``seed`` and an ``address``
+    outside [0, N) are InvalidParamsErrors.
     """
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
     if seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {seed}")
+    if address is not None and not 0 <= address < circuit.params.N:
+        raise InvalidParamsError(f"address {address} outside [0, {circuit.params.N})")
     table = _site_table(circuit, rates, link_by_gate)
     failures = _run_trials(circuit, table, seed, range(trials), address, on_trial)
     p = failures / trials
@@ -648,19 +557,8 @@ def _fault_classes(circuit: Circuit, slot: np.ndarray,
     slot, qubit); site i's X and Y measure what faults[cls[i]] measures, its
     Z what faults[0] measures.
     """
-    gates = circuit.gates
-    slots, qubits = slot.tolist(), qubit.tolist()
-    if all(s < len(gates) and q in gates[s][1] for s, q in zip(slots, qubits)):
-        # every site sits right before a gate on its qubit, as the sites of
-        # every built Location do, so each is its own class; this skips the
-        # search, which costs more than a small first-order call's query pass
-        index: dict[tuple[int, int], int] = {}
-        cls = [index.setdefault(site, len(index) + 1) for site in zip(slots, qubits)]
-        return [None, *((s, q, "X") for s, q in index)], np.array(cls, dtype=np.int64)
-    arity, _, touched = gate_arrays(circuit)
-    span = len(arity) + 1   # slot codes 0..len(gates) per qubit
-    touches = np.sort(touched * span + np.repeat(np.arange(len(arity)), arity))
-    touches = np.append(touches, np.iinfo(np.int64).max)
+    span = len(circuit.gates) + 1   # slot codes 0..len(gates) per qubit
+    touches = circuit.gate_arrays.touches
     code = qubit * span + slot
     nxt = touches[touches.searchsorted(code)]
     code = np.where(nxt // span == qubit, nxt, qubit * span + span - 1)

@@ -1,12 +1,24 @@
 """Shared fixtures and oracle helpers."""
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qlut.ir import Circuit
 from qlut.params import DataTable, derive_params
-from qlut.simulator import basis_input, expected_word, pack_register, read_register, run_basis
+from qlut.simulator import run_basis
+from state_helpers import basis_input, expected_word, pack_register, read_register
+
+# the benchmark's workloads module, loaded by path; the tests only read its
+# generators and perfbench/reference.json
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               PERFBENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def random_table(rng: np.random.Generator, N: int, b: int = 1) -> DataTable:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from qlut.ir import Circuit, GateKind
-from qlut.simulator import basis_input
+from state_helpers import basis_input
 
 
 def _source(kind: GateKind, qs: tuple[int, ...], idx: np.ndarray) -> np.ndarray:

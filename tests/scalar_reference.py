@@ -29,10 +29,8 @@ from qlut.layout import (
     GridPlacement, LinkResource, LongRangeLink, Schedule, long_range_error,
 )
 from qlut.params import ErrorRates, address_bits
-from qlut.simulator import (
-    ContainmentReport, ErrorEvent, Location, TrialResult, run_linear, sparse_overlap,
-    uniform_address_superposition,
-)
+from qlut.simulator import ContainmentReport, ErrorEvent, Location, TrialResult
+from state_helpers import run_linear, sparse_overlap, uniform_address_superposition
 
 PAULIS = ("X", "Y", "Z")
 GATE_RATE_KEY = {GateKind.SWAP: "eps_s", GateKind.CSWAP: "eps_cs",

@@ -22,10 +22,12 @@ from qlut.layout import classify_links, level_pitches, place_htree
 from qlut.params import ErrorRates, Readout, derive_params
 from qlut.resources import count_resources
 from qlut.simulator import (
-    basis_input, build_location_table, containment_experiment,
+    build_location_table, containment_experiment,
     first_order_infidelity, monte_carlo_infidelity,
-    off_path_router_qubits, read_register, run_basis, run_linear,
-    sparse_overlap, uniform_address_superposition,
+    off_path_router_qubits, run_basis,
+)
+from state_helpers import (
+    basis_input, read_register, run_linear, sparse_overlap, uniform_address_superposition,
 )
 
 SEED = 20260808

@@ -5,19 +5,12 @@ Rebuilds a dozen fixed shapes of the benchmark's report grid (N = 512 to
 generators and checks both outputs against the digests the benchmark
 recorded in ``perfbench/reference.json``. The reference file is only read.
 """
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
+from conftest import PERFBENCH, workloads
 from qlut.cli import main
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-_spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                               PERFBENCH / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(workloads)
 
 SHAPES = [
     (512, 512, 512, 1, "SingleBit"),

@@ -15,9 +15,10 @@ from qlut.builders import (
 )
 from qlut.ir import GateKind, Role, Stage, check_layer_disjointness, gate_multiset
 from qlut.params import DataTable, Readout, derive_params
-from qlut.simulator import (
-    basis_input, lookup_correct, pack_register, read_register,
-    run_basis, run_linear, sparse_overlap,
+from qlut.simulator import lookup_correct, run_basis
+from state_helpers import (
+    basis_input, pack_register, read_register,
+    run_linear, sparse_overlap,
     uniform_address_superposition,
 )
 

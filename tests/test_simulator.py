@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 from unittest import mock
@@ -14,14 +15,16 @@ from dense_oracle import basis_state, run_dense
 from qlut import simulator
 from qlut.builders import build_lookup, build_reference, build_unified_lookup
 from qlut.errors import InvalidParamsError
-from qlut.ir import CircuitBuilder, GateKind, Role, Stage
+from qlut.ir import CircuitBuilder, GateArrays, GateKind, Role, Stage
 from qlut.layout import classify_links, long_range_error, place_htree
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.simulator import (
-    Location, basis_input, build_location_table, containment_experiment,
+    Location, build_location_table, containment_experiment,
     first_order_infidelity, harmful_weight_by_rate, lookup_correct, monte_carlo_infidelity,
-    off_path_router_qubits, query_path_routers, run_basis, run_linear, sparse_overlap,
-    uniform_address_superposition,
+    off_path_router_qubits, query_path_routers, run_basis,
+)
+from state_helpers import (
+    basis_input, run_linear, sparse_overlap, uniform_address_superposition,
 )
 
 
@@ -203,7 +206,7 @@ def test_saturated_cswap_noise_toy_model(rng):
                 nb, _ = run_basis(one, bits)
                 stepped[nb] = stepped.get(nb, 0.0) + pr
             dist = stepped
-        from qlut.simulator import expected_word, read_register
+        from state_helpers import expected_word, read_register
         fail = 0.0
         for bits, pr in dist.items():
             ok = (read_register(bits, circ.reg("address")) == address
@@ -609,10 +612,32 @@ def test_monte_carlo_rejects_a_negative_seed():
         monte_carlo_infidelity(circ, _LANE_RATES, 10, -1)
 
 
-def test_location_table_expands_the_site_table():
-    # merging the location table's consecutive equal idle entries gives the
-    # site table's rows, each idle run with its number of layers
-    rng = np.random.default_rng(21)
+@pytest.mark.parametrize("address", [-1, 8])
+def test_monte_carlo_rejects_an_address_outside_the_table(address):
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    with pytest.raises(InvalidParamsError, match="address"):
+        monte_carlo_infidelity(circ, _LANE_RATES, 10, 1, address=address)
+
+
+def test_monte_carlo_queries_a_fixed_address_inside_the_table():
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    got = []
+    monte_carlo_infidelity(circ, _LANE_RATES, 20, 1, address=7,
+                           on_trial=lambda t, r: got.append(r.address))
+    assert got == [7] * 20
+
+
+@pytest.mark.parametrize("bits", ["negative", "past the last qubit"])
+def test_run_basis_rejects_bits_outside_the_qubits(bits):
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    init = {"negative": -1, "past the last qubit": 1 << circ.n_qubits}[bits]
+    with pytest.raises(InvalidParamsError, match="init_bits"):
+        run_basis(circ, init)
+
+
+def _shape_circuits(rng):
+    """Every _lane_shapes() circuit on tables drawn from ``rng``, with its
+    classified long-range links ({} where there are none)."""
     for shape in _lane_shapes():
         if shape[0] == "BucketBrigade":
             circ = build_reference("BucketBrigade", shape[1], random_table(rng, shape[1]))
@@ -623,6 +648,67 @@ def test_location_table_expands_the_site_table():
         by_gate = {}
         if circ.meta.get("family") == "tree" and circ.params.b == 1:
             _, by_gate = classify_links(circ, place_htree(circ))
+        yield circ, by_gate
+
+
+def test_gate_arrays_match_the_gate_list():
+    # the cached view against a per-gate computation on every N <= 16 shape;
+    # a circuit copied with another table gets its own view and words
+    rng = np.random.default_rng(22)
+    for circ, _ in _shape_circuits(rng):
+        view = circ.gate_arrays
+        assert circ.gate_arrays is view
+        gates = circ.gates
+        arity = [len(g.qubits) for g in gates]
+        assert view.arity.tolist() == arity
+        assert view.layer.tolist() == [g.layer for g in gates]
+        assert view.start.tolist() == [sum(arity[:i]) for i in range(len(gates))]
+        assert view.qubit.tolist() == [q for g in gates for q in g.qubits]
+        span = len(gates) + 1
+        assert view.touches.tolist() == sorted(
+            q * span + i for i, g in enumerate(gates) for q in g.qubits) + [2**63 - 1]
+        assert view.words.tolist() == list(circ.table.words)
+        other = random_table(rng, circ.params.N, circ.params.b)
+        copy = dataclasses.replace(circ, table=other)
+        assert copy.gate_arrays is not view
+        assert copy.gate_arrays.words.tolist() == list(other.words)
+
+
+def test_gate_arrays_and_touch_order_are_built_once_per_circuit(monkeypatch):
+    # repeated containment (sites off and at gates) and first-order calls
+    # on one circuit build its view and sort its touch order once
+    built = {"view": 0, "touches": 0}
+    init, touches = GateArrays.__init__, GateArrays.touches.func
+
+    def counted_init(self, circuit):
+        built["view"] += 1
+        init(self, circuit)
+
+    def counted_touches(self):
+        built["touches"] += 1
+        return touches(self)
+
+    counted = functools.cached_property(counted_touches)
+    counted.__set_name__(GateArrays, "touches")
+    monkeypatch.setattr(GateArrays, "__init__", counted_init)
+    monkeypatch.setattr(GateArrays, "touches", counted)
+    circ = build_unified_lookup(derive_params(8, 4, 2),
+                                random_table(np.random.default_rng(23), 8))
+    _, by_gate = classify_links(circ, place_htree(circ))
+    locations = build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
+    sites = [(slot, q) for slot in range(0, len(circ.gates) + 1, 7) for q in range(circ.n_qubits)]
+    for address in range(8):
+        containment_experiment(circ, address, sites=sites, check_superposition=True)
+        first_order_infidelity(circ, locations[address::4])
+        harmful_weight_by_rate(circ, locations)
+    assert built == {"view": 1, "touches": 1}
+
+
+def test_location_table_expands_the_site_table():
+    # merging the location table's consecutive equal idle entries gives the
+    # site table's rows, each idle run with its number of layers
+    rng = np.random.default_rng(21)
+    for circ, by_gate in _shape_circuits(rng):
         for links in ({}, by_gate):
             rows = []
             for loc in build_location_table(circ, _LANE_RATES, links):
