@@ -33,7 +33,7 @@ from .layout import (
 )
 from .params import (
     ArchParams, DataTable, ErrorRates, Readout, arch_params_from_json,
-    arch_params_to_json, error_rates_from_json, error_rates_to_json, json_int,
+    arch_params_to_json, error_rates_from_json, error_rates_to_json, json_int, json_number,
     specialization,
 )
 from .resources import count_resources
@@ -79,6 +79,8 @@ class SweepSpec:
                 f"nRange sizes n = log2 N must lie in [1, {_MAX_SWEEP_N}], got {self.n_range}")
         for name, fractions in (("dFractions", self.d_fractions),
                                 ("dPrimeFractions", self.d_prime_fractions)):
+            if not fractions:
+                raise ConfigError(f"{name} must not be empty")
             if not all(0.0 <= f <= 1.0 for f in fractions):
                 raise ConfigError(f"{name} must lie in [0, 1], got {fractions}")
 
@@ -87,14 +89,17 @@ class SweepSpec:
         """The spec a sweep config asks for; a malformed value is a ConfigError."""
         if not isinstance(obj.get("rates", {}), dict):
             raise ConfigError("sweep 'rates' must be an object")
+        for key in ("nRange", "dFractions", "dPrimeFractions"):
+            if not isinstance(obj.get(key, []), list):
+                raise ConfigError(f"sweep {key!r} must be a list")
         kwargs = {}
         try:
             if "nRange" in obj:
                 kwargs["n_range"] = [json_int(v, "nRange entry") for v in obj["nRange"]]
-            if "dFractions" in obj:
-                kwargs["d_fractions"] = [float(v) for v in obj["dFractions"]]
-            if "dPrimeFractions" in obj:
-                kwargs["d_prime_fractions"] = [float(v) for v in obj["dPrimeFractions"]]
+            for key, attr in (("dFractions", "d_fractions"),
+                              ("dPrimeFractions", "d_prime_fractions")):
+                if key in obj:
+                    kwargs[attr] = [float(json_number(v, f"{key} entry")) for v in obj[key]]
             if "kRule" in obj:
                 kwargs["k_rule"] = obj["kRule"]
             if "metric" in obj:

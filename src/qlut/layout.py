@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -437,74 +438,128 @@ class Schedule:
         return sum(self.idle.values())
 
 
+def _walked_starts(circuit: Circuit, durations: list[int]) -> np.ndarray:
+    """Start time of every gate when gate ``i`` takes ``durations[i]``
+    steps: each gate starts when its last operand comes free."""
+    avail = [0] * circuit.n_qubits
+    starts = []
+    append = starts.append
+    # unrolled for the one-, two- and three-qubit gates the builders emit:
+    # this loop is the whole cost the flag adds
+    for qubits, d in zip(map(itemgetter(1), circuit.gates), durations):
+        k = len(qubits)
+        if k == 2:
+            a, b = qubits
+            x, y = avail[a], avail[b]
+            t0 = x if x > y else y
+            avail[a] = avail[b] = t0 + d
+        elif k == 3:
+            a, b, c = qubits
+            t0 = max(avail[a], avail[b], avail[c])
+            avail[a] = avail[b] = avail[c] = t0 + d
+        elif k == 1:
+            a, = qubits
+            t0 = avail[a]
+            avail[a] = t0 + d
+        else:
+            t0 = max([avail[q] for q in qubits], default=0)
+            for q in qubits:
+                avail[q] = t0 + d
+        append(t0)
+    return np.array(starts, dtype=np.intp)
+
+
 def build_schedule(
     circuit: Circuit,
     link_by_gate: dict[int, LongRangeLink] | None = None,
     include_distillation_depth: bool = False,
 ) -> Schedule:
-    """Discrete-event walk of the gate list.
+    """Gate timing of the gate list, as arrays over ``circuit.gate_arrays``.
 
-    Every gate takes one step; with the distillation-depth flag, long-range
-    gates outside the free budget take ceil(log2 m) steps instead (the
-    default models Bell pairs as readily available). Address-setting
-    windows tau are measured from the injection copy to the level's last
-    status deposit.
+    Every gate takes one step, and then a gate starts at its ``layer``:
+    ``CircuitBuilder.emit_ops`` puts each gate on the first layer after
+    every operand's previous gate, which is the as-soon-as-possible start
+    time of the gate order. This relies on the IR invariant that every
+    gate's layer was assigned that way (every Circuit comes from a
+    CircuitBuilder). With the distillation-depth flag, long-range gates
+    outside the free budget take ceil(log2 m) steps instead (the default
+    models Bell pairs as readily available), and the start times are walked
+    again with those durations.
+
+    A qubit idles for every step between its first gate's start and its last
+    gate's end that none of its gates covers; ``idle`` lists the qubits that
+    idle at all, in order of first use. Address-setting windows tau are
+    measured from the end of the latest injection copy (an address-to-input
+    CNOT; 0 before one, or without those registers) to the level's last
+    status deposit (a SWAP into a status qubit). Level crossings count the
+    Stage-I SWAPs along the canonical all-left branch, in either operand order.
     """
-    durations = repeat(1)
-    if include_distillation_depth and link_by_gate:
-        # only non-free long-range gates take more than one step
-        durations = [1] * len(circuit.gates)
-        for idx, link in link_by_gate.items():
-            if link.resource != LinkResource.FREE.value:
-                durations[idx] = max(1, math.ceil(math.log2(max(2, link.m))))
+    view = circuit.gate_arrays
     n = circuit.n_qubits
-    avail = [0] * n
-    first = [-1] * n
-    busy = [0] * n
-    touched: list[int] = []   # qubits in order of first use
-    status = [info.role == Role.ROUTER_STATUS for info in circuit.qubits]
-    level_of = [info.level for info in circuit.qubits]
-    addr = set(circuit.reg("address"))
-    inputs = set(circuit.reg("input"))
-    # canonical query branch: the all-left path (level, 0) -> (level+1, 0),
-    # as SWAP operand pairs in either order
-    branch_pairs = set()
+    steps = {}
+    if include_distillation_depth and link_by_gate:
+        # only non-free long-range gates of length m > 2 take more than one step
+        for idx, link in link_by_gate.items():
+            if link.resource != LinkResource.FREE.value and link.m > 2:
+                steps[idx] = math.ceil(math.log2(link.m))
+    dur = np.ones(len(view.arity), np.intp)
+    if steps:
+        dur[list(steps)] = list(steps.values())
+        t0 = _walked_starts(circuit, dur.tolist())
+    else:
+        t0 = view.layer
+    t1 = t0 + dur
+
+    # idle = last end - first start - busy steps, per qubit in the operand array
+    qubit = view.qubit
+    pos = np.arange(len(qubit))
+    first = np.full(n, len(qubit))
+    last = np.full(n, -1)
+    np.minimum.at(first, qubit, pos)
+    np.maximum.at(last, qubit, pos)
+    used = np.flatnonzero(last >= 0)
+    used = used[np.argsort(first[used])]
+    gate = np.repeat(np.arange(len(dur)), view.arity)
+    busy = np.bincount(qubit, dur[gate] if steps else None, n).astype(np.intp, copy=False)
+    gaps = t1[gate[last[used]]] - t0[gate[first[used]]] - busy[used]
+    keep = gaps > 0
+    idle = dict(zip(used[keep].tolist(), gaps[keep].tolist()))
+
+    # tau and crossings: only two-qubit gates whose operands already
+    # qualify by role are candidates; kind and stage are checked per gate
+    is_addr, is_input = np.zeros(n, bool), np.zeros(n, bool)
+    is_addr[list(circuit.registers.get("address", ()))] = True
+    is_input[list(circuit.registers.get("input", ()))] = True
+    is_status = np.fromiter(map(eq, map(itemgetter(0), circuit.qubits),
+                                repeat(Role.ROUTER_STATUS)), bool, n)
+    # canonical query branch: the all-left path (level, 0) -> (level+1, 0);
+    # each qubit is on at most one of its SWAP operand pairs
+    partner = np.full(n, -1)
     D = circuit.params.tree_depth if circuit.params else 0
     for level in range(D - 1):
-        parent = circuit.routers[(level, 0, 0)]
-        child = circuit.routers[(level + 1, 0, 0)]
-        branch_pairs |= {(parent.left, child.inp), (child.inp, parent.left)}
+        parent, child = circuit.routers[(level, 0, 0)], circuit.routers[(level + 1, 0, 0)]
+        partner[parent.left], partner[child.inp] = child.inp, parent.left
+    pair = np.flatnonzero(view.arity == 2)
+    a, b = qubit[view.start[pair]], qubit[view.start[pair] + 1]
+    inject, deposit, branch = is_addr[a] & is_input[b], is_status[b], partner[a] == b
+    hit = np.flatnonzero(inject | deposit | branch)
     tau: dict[int, int] = {}
     crossings: dict[int, int] = {level: 0 for level in range(max(0, D - 1))}
     inject_end = 0
-    total = 0
+    gates, qubits = circuit.gates, circuit.qubits
     CNOT, SWAP = GateKind.CNOT, GateKind.SWAP
-    for (kind, qubits, _, stage, _), dur in zip(circuit.gates, durations):
-        if len(qubits) == 2:
-            a, b = qubits
-            t0 = avail[a] if avail[a] > avail[b] else avail[b]
-        elif len(qubits) == 1:
-            t0 = avail[qubits[0]]
-        else:
-            t0 = max([avail[q] for q in qubits], default=0)
-        t1 = t0 + dur
-        if t1 > total:
-            total = t1
-        for q in qubits:
-            avail[q] = t1
-            if first[q] < 0:
-                first[q] = t0
-                touched.append(q)
-            busy[q] += dur
+    for g, end, is_inject, is_deposit, is_branch in zip(
+            pair[hit].tolist(), t1[pair[hit]].tolist(), inject[hit].tolist(),
+            deposit[hit].tolist(), branch[hit].tolist()):
+        kind, (q0, q1), _, stage, _ = gates[g]
         if kind is CNOT:
-            if qubits[0] in addr and qubits[1] in inputs:
-                inject_end = t1
+            if is_inject:
+                inject_end = end
         elif kind is SWAP:
-            if status[qubits[1]]:
-                level = level_of[qubits[1]]
-                tau[level] = max(tau.get(level, 0), t1 - inject_end)
-            if stage == "I" and qubits in branch_pairs:
-                crossings[min(level_of[q] for q in qubits)] += 1
-    idle = {q: v for q in touched if (v := avail[q] - first[q] - busy[q]) > 0}
-    return Schedule(total_depth=total, idle=idle, tau=tau,
+            if is_deposit:
+                level = qubits[q1].level
+                tau[level] = max(tau.get(level, 0), end - inject_end)
+            if is_branch and stage == "I":
+                crossings[min(qubits[q0].level, qubits[q1].level)] += 1
+    return Schedule(total_depth=int(t1.max(initial=0)), idle=idle, tau=tau,
                     level_crossings=crossings)

@@ -199,18 +199,31 @@ def arch_params_to_json(p: ArchParams) -> dict:
     }
 
 
+# json.load gives a JSON number as exactly int or float; the type tests
+# below are exact so that a boolean (an int subclass) is not a number
+
+
+def json_number(value, name: str) -> int | float:
+    """A config value that must be a JSON number, returned unchanged;
+    anything else (a boolean, a string, null) is a ConfigError."""
+    if type(value) is not int and type(value) is not float:
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def json_int(value, name: str) -> int:
-    """``int(value)`` of a config value, except that a boolean or a number
-    with a fractional part is a ConfigError instead of being truncated."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """A config value that must be a whole JSON number, as an int: a
+    boolean, a string or a number with a fractional part is a ConfigError
+    instead of being converted or truncated."""
+    if type(value) is int:
+        return value
+    if type(value) is not float or not value.is_integer():
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def arch_params_from_json(obj: dict) -> ArchParams:
-    k = obj.get("longRangeBudgetK", 0)
-    if isinstance(k, bool):
-        raise ConfigError(f"longRangeBudgetK must be a number, got {k!r}")
+    k = json_number(obj.get("longRangeBudgetK", 0), "longRangeBudgetK")
     p = derive_params(
         N=json_int(obj["N"], "N"),
         lam=json_int(obj["lambda"], "lambda"),
@@ -239,5 +252,9 @@ def error_rates_to_json(r: ErrorRates) -> dict:
 
 
 def error_rates_from_json(obj: dict) -> ErrorRates:
-    kwargs = {attr: obj[json_key] for json_key, attr in _RATE_KEYS if json_key in obj}
+    """Rates from their JSON keys; each must be a number, except that
+    ``"epsL": null`` derives the long-range error per link."""
+    kwargs = {attr: None if json_key == "epsL" and obj[json_key] is None
+              else json_number(obj[json_key], json_key)
+              for json_key, attr in _RATE_KEYS if json_key in obj}
     return ErrorRates(**kwargs)

@@ -407,8 +407,9 @@ def build_schedule(circuit: Circuit, link_by_gate=None,
     busy: dict[int, int] = {}
     status_role = {q for q, info in enumerate(circuit.qubits)
                    if info.role == Role.ROUTER_STATUS}
-    addr = set(circuit.reg("address"))
-    inputs = set(circuit.reg("input"))
+    # a circuit without these registers has no injection: tau counts from 0
+    addr = set(circuit.registers.get("address", ()))
+    inputs = set(circuit.registers.get("input", ()))
     branch_pairs = set()
     D = circuit.params.tree_depth if circuit.params else 0
     for level in range(D - 1):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_reference
 from qlut import cli, costs, simulator
 from qlut.builders import build_lookup
 from qlut.cli import main, parse_sweep_csv, sweep_table_csv, sweep_exponent_table, SweepSpec
@@ -94,11 +95,12 @@ _PARAMS = {"N": 16, "lambda": 4, "gamma": 2, "b": 1}
     ("gamma", 2.5), ("gamma", True), ("b", 1.5), ("b", True),
     ("n", 4.5), ("n", True), ("d", 2.5), ("d", True),
     ("dPrime", 1.5), ("dPrime", True), ("dDoublePrime", 0.5), ("dDoublePrime", False),
-    ("table", 0.5), ("table", True),
+    ("table", 0.5), ("table", True), ("N", "16"), ("lambda", "4"), ("table", " 1"),
 ])
 def test_non_integer_config_value_exits_2(tmp_path, capsys, key, bad):
     # a boolean or a fractional number used to be truncated by int(): N=16.5
-    # ran as N=16 and a declared "dPrime": true passed as 1
+    # ran as N=16 and a declared "dPrime": true passed as 1; int() also read
+    # the strings "16" and " 1" as integers
     if key == "table":
         cfg = _write_config(tmp_path, table=[bad] + [0] * 15)
     else:
@@ -112,6 +114,33 @@ def test_boolean_long_range_budget_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, params={**_PARAMS, "longRangeBudgetK": True})
     assert main(["report", "--config", cfg]) == 2
     assert "config error: longRangeBudgetK" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("over,key", [
+    ({"rates": {"epsI": True}}, "epsI"),
+    ({"rates": {"epsI": "x"}}, "epsI"),
+    ({"params": {**_PARAMS, "longRangeBudgetK": "1"}}, "longRangeBudgetK"),
+], ids=["epsI-bool", "epsI-string", "longRangeBudgetK-string"])
+def test_non_number_config_value_exits_2_naming_its_key(tmp_path, capsys, over, key):
+    # true used to run as the rate 1.0; the strings exited 2 with a message
+    # from inside a comparison that named no key
+    cfg = _write_config(tmp_path, **over)
+    assert main(["report", "--config", cfg]) == 2
+    assert f"config error: {key} must be a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dFractions", "dPrimeFractions"])
+@pytest.mark.parametrize("fractions", [[True, 0.5], [0.5, "0.5"], [None], [], 0.5],
+                         ids=["bool", "string", "null", "empty", "number"])
+def test_sweep_fractions_must_be_json_numbers(tmp_path, capsys, key, fractions):
+    # true used to run as 1.0, an empty list wrote header-only CSVs, and a
+    # bare number failed with a message that named no key
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"kRules": ["Zero"], key: fractions}))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (tmp_path / "out" / "sweep_summary.json").exists()
 
 
 @pytest.mark.parametrize("bad", [24.5, True], ids=["fraction", "bool"])
@@ -162,9 +191,10 @@ def test_sweep_n_range_out_of_bounds_exits_2(tmp_path, capsys, n_range):
 
 
 @pytest.mark.parametrize("key", ["dFractions", "dPrimeFractions"])
-@pytest.mark.parametrize("fraction", [-1.0, 1.5, "NaN"], ids=["negative", "above-one", "nan"])
+@pytest.mark.parametrize("fraction", [-1.0, 1.5, math.nan], ids=["negative", "above-one", "nan"])
 def test_sweep_fraction_out_of_range_exits_2(tmp_path, capsys, key, fraction):
-    # a fraction outside [0, 1] used to run and write NaN cells
+    # a fraction outside [0, 1] used to run and write NaN cells; json.dumps
+    # writes NaN as the bare token that json.load reads back as a float
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"kRules": ["Zero"], "nRange": [507, 508, 509, 510, 511],
                                key: [0.5, fraction]}))
@@ -400,6 +430,21 @@ def test_distillation_depth_skips_free_links(tmp_path, capsys):
         assert main(["report", "--config", cfg, "--include-distillation-depth"]) == 0
         depth[k] = json.loads(capsys.readouterr().out)["layout"]["scheduleDepth"]
     assert depth == {0: 97, 2: 84}
+
+
+def test_distillation_depth_report_equals_reference_walk(tmp_path, capsys):
+    # the flag end to end on a tree with long-range links at every level:
+    # scheduleDepth is the per-gate walk's depth, and the stretched links
+    # make it deeper than the default depth
+    cfg = _write_config(tmp_path, params={"N": 1024, "lambda": 64, "gamma": 8})
+    depth = {}
+    for flag in (False, True):
+        argv = ["report", "--config", cfg] + ["--include-distillation-depth"] * flag
+        assert main(argv) == 0
+        depth[flag] = json.loads(capsys.readouterr().out)["layout"]["scheduleDepth"]
+    inst = cli._build_instance(cfg)
+    want = scalar_reference.build_schedule(inst.circuit, inst.by_gate, True).total_depth
+    assert depth[True] == want > depth[False]
 
 
 def test_sweep_outputs_and_roundtrip(tmp_path):

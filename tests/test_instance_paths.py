@@ -1,20 +1,24 @@
 """The array-speed instance pipeline against its per-gate reference.
 
 ``CircuitBuilder.emit_ops`` with the memoised op lists, the numpy link
-classification, the list-based schedule and the cached-string gate export
+classification, the array schedule and the cached-string gate export
 must give exactly what the per-gate loops in ``tests/scalar_reference.py``
 give, on every shape with N <= 64 and on the three reference
-architectures.
+architectures. The schedule, which reads start times off the builder's
+layers, is also compared on N = 512 and 1024 trees, and those layers are
+checked to be the ASAP layers of the gate order at benchmark sizes.
 """
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
-from conftest import lam_gamma_grid, random_table
+from conftest import lam_gamma_grid, random_table, workloads
 from qlut import builders
 from qlut.ir import CircuitBuilder, GateKind, Role, Stage, export_gate_list
 from qlut.layout import GridPlacement, build_schedule, classify_links, place_htree
 from qlut.params import DataTable, Readout, derive_params
+from test_bench_digests import SHAPES as BENCH_SHAPES
 
 WORDS = ((1, Readout.SINGLE_BIT), (2, Readout.PARALLEL), (2, Readout.SEQUENTIAL),
          (4, Readout.SEQUENTIAL))
@@ -24,6 +28,16 @@ SHAPES = [(N, lam, gamma, b, readout)
           for b, readout in WORDS]
 REFERENCES = [(kind, N) for kind in ("BucketBrigade", "FanOut", "SelectSwap")
               for N in (2, 4, 8, 16, 32, 64)]
+
+
+def _assert_same_schedule(got, want):
+    """Equal in every field, in dict key order, and as plain Python ints."""
+    assert got == want
+    assert type(got.total_depth) is int
+    for field in ("idle", "tau", "level_crossings"):
+        items = list(getattr(got, field).items())
+        assert items == list(getattr(want, field).items())
+        assert all(type(k) is int and type(v) is int for k, v in items)
 
 
 def _assert_same_instance(fast, ref):
@@ -40,11 +54,8 @@ def _assert_same_instance(fast, ref):
                 assert links == ref_links
                 assert list(by_gate.items()) == list(ref_by_gate.items())
                 for depth in (False, True):
-                    got = build_schedule(fast, by_gate, depth)
                     want = scalar_reference.build_schedule(ref, ref_by_gate, depth)
-                    assert got == want
-                    for field in ("idle", "tau", "level_crossings"):
-                        assert list(getattr(got, field)) == list(getattr(want, field))
+                    _assert_same_schedule(build_schedule(fast, by_gate, depth), want)
                 assert (export_gate_list(fast, by_gate)
                         == scalar_reference.export_gate_list(ref, ref_by_gate))
     assert export_gate_list(fast) == scalar_reference.export_gate_list(ref)
@@ -128,6 +139,48 @@ def test_schedule_counts_branch_swaps_in_either_operand_order(rng):
     got = build_schedule(swapped)
     assert got == scalar_reference.build_schedule(swapped)
     assert got.level_crossings[1] == build_schedule(circ).level_crossings[1] + 2
+
+
+@pytest.mark.parametrize("N,lam,gamma", [(512, 512, 1), (1024, 16, 1), (1024, 64, 8)])
+def test_schedule_matches_walk_on_deep_trees(N, lam, gamma):
+    # the N <= 64 grid above has at most a few hundred gates; these have
+    # thousands, deep idle windows and stretched links at every level
+    table = DataTable(words=tuple(workloads.table_words(N, 1, "report")), b=1)
+    circ = builders.build_lookup(derive_params(N, lam, gamma), table)
+    placement = place_htree(circ)
+    for k in (0, 1):
+        for distillation in (True, False):
+            _, by_gate = classify_links(circ, placement, distillation, k)
+            for depth in (False, True):
+                _assert_same_schedule(build_schedule(circ, by_gate, depth),
+                                      scalar_reference.build_schedule(circ, by_gate, depth))
+
+
+@pytest.mark.parametrize("circuit", [
+    builders.build_cnot_tree(4), builders.build_cnot_tree(4, optimized=False),
+    builders.build_cswap_router(), builders.build_cswap_router(merged=True),
+    builders.build_linear_router_round(3, 5),
+], ids=["cnot-tree", "cnot-tree-literal", "cswap-router", "cswap-router-merged",
+        "linear-router-round"])
+def test_schedule_of_circuit_without_address_or_input(circuit):
+    # a missing register reads as empty: no injection window, tau from 0
+    got = build_schedule(circuit)
+    _assert_same_schedule(got, scalar_reference.build_schedule(circuit))
+    assert got.total_depth == 1 + max(g.layer for g in circuit.gates)
+
+
+@pytest.mark.parametrize("shape", BENCH_SHAPES, ids=workloads.shape_key)
+def test_layers_are_asap_layers_of_the_gate_order(shape):
+    # build_schedule reads start times off Gate.layer: every gate must sit on
+    # the layer after the latest previous gate on any of its operands
+    N, lam, gamma, b, readout = shape
+    table = DataTable(words=tuple(workloads.table_words(N, b, "report")), b=b)
+    view = builders.build_lookup(derive_params(N, lam, gamma, b, readout), table).gate_arrays
+    qubit, gate = np.divmod(view.touches[:-1], len(view.arity) + 1)
+    same = qubit[1:] == qubit[:-1]
+    asap = np.zeros_like(view.layer)
+    np.maximum.at(asap, gate[1:][same], view.layer[gate[:-1][same]] + 1)
+    assert np.array_equal(view.layer, asap)
 
 
 @pytest.mark.parametrize("qubits", [(0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 1)])

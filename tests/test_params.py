@@ -1,10 +1,10 @@
 import pytest
 
-from qlut.errors import KOutOfRangeError, NonPowerOfTwoError, OrderingViolationError
+from qlut.errors import ConfigError, KOutOfRangeError, NonPowerOfTwoError, OrderingViolationError
 from qlut.params import (
     DataTable, ErrorRates, Readout, Specialization,
     address_bits, arch_params_from_json, arch_params_to_json, bits_to_address,
-    derive_params, error_rates_from_json, error_rates_to_json, specialization,
+    derive_params, error_rates_from_json, error_rates_to_json, json_int, specialization,
 )
 
 
@@ -129,3 +129,33 @@ def test_data_table_validation():
         DataTable(words=(0, 2), b=1)
     t = DataTable(words=(1, 2, 0, 3), b=2)
     assert t.bit(1, 0) == 0 and t.bit(1, 1) == 1
+
+
+@pytest.mark.parametrize("value", ["16", " 1", None, [16], True])
+def test_json_int_takes_only_whole_json_numbers(value):
+    # int() used to turn the strings "16" and " 1" into integers
+    with pytest.raises(ConfigError, match="N must be an integer"):
+        json_int(value, "N")
+
+
+@pytest.mark.parametrize("key", ["epsI", "epsQ", "epsL", "epsS", "epsCS", "epsC",
+                                 "epsCC", "epsF", "epsInitial"])
+@pytest.mark.parametrize("bad", [True, "x", "0.1"], ids=["bool", "word", "numeric-string"])
+def test_rates_must_be_json_numbers(key, bad):
+    # true used to run as the rate 1.0 and "x" failed inside the range check
+    with pytest.raises(ConfigError, match=f"{key} must be a number"):
+        error_rates_from_json({key: bad})
+
+
+def test_null_rate_derives_long_range_error_only():
+    assert error_rates_from_json({"epsL": None}).eps_l is None
+    with pytest.raises(ConfigError, match="epsI must be a number"):
+        error_rates_from_json({"epsI": None})
+
+
+def test_long_range_budget_must_be_a_json_number():
+    obj = {"N": 16, "lambda": 4, "gamma": 2}
+    assert arch_params_from_json({**obj, "longRangeBudgetK": 1}).k == 1
+    for bad in ("1", True, None):
+        with pytest.raises(ConfigError, match="longRangeBudgetK must be a number"):
+            arch_params_from_json({**obj, "longRangeBudgetK": bad})
