@@ -1,11 +1,10 @@
 """Closed-form cost and infidelity evaluators, plus exponent fitting.
 
 Every evaluator instantiates the published asymptotic expressions with all
-big-O constants set to 1 (configurable via the `scale` arguments where it
-matters); log means log2 throughout, and the polylog idle factors are
-modeled as cubed logs. These are leading-order envelopes: exact gate-level
-numbers come from resources.count_resources, and the idle ground truth from
-the schedule walk.
+big-O constants set to 1; log means log2 throughout, and the polylog idle
+factors are modeled as cubed logs. These are leading-order envelopes: exact
+gate-level numbers come from resources.count_resources, and the idle ground
+truth from layout.build_schedule, which reads the builder's ASAP layers.
 """
 from __future__ import annotations
 

@@ -15,18 +15,20 @@ faults, and the pass reports the lanes whose measured (address, word)
 differs from the table. ``monte_carlo_infidelity`` runs the faulty trials
 of each block of trials through it, each with its own flip masks;
 ``containment_experiment``, ``first_order_infidelity``,
-``harmful_weight_by_rate`` and ``lookup_correct`` run their (fault,
-address) queries through it fault-major (``_query_passes``). The
-exhaustive analyses first collapse equivalent single faults
-(``_fault_classes``): a Pauli acts as at the next gate on its qubit, and
-on a basis query Y measures as X and Z as no fault, so one X per distinct
-(next-gate slot, qubit) and one fault-free group answer every injection.
-With the superposition check, containment runs each distinct (class,
-Pauli) among the basis-benign injections times every address and counts
-the overlap exactly in integers; this needs a circuit whose fault-free run
+``harmful_weight_by_rate`` and ``lookup_correct`` run their (site,
+address) queries through it site-major under one Pauli (``_query_passes``),
+each pass holding whole address groups. The exhaustive analyses first
+collapse equivalent single faults (``_fault_classes``): a Pauli acts as at
+the next gate on its qubit, and on a basis query Y measures as X and Z as
+no fault, so one X per distinct (next-gate slot, qubit) class and one
+fault-free group answer every injection. With the superposition check,
+containment runs one Y per class times every address: Y moves the bits as
+X does and adds the phase Z adds times i, so counting the lanes that land
+on the ideal output and the lanes whose phase picked up Z's sign answers
+X, Y and Z exactly, in integers. This needs a circuit whose fault-free run
 keeps its address register (every built lookup does) and rejects any
-other with InvalidParamsError. A pass carries at most ``_MAX_LANES`` lanes.
-``run_basis`` (one lane) is the plain state-propagation entry point.
+other with InvalidParamsError. ``run_basis`` (one lane) is the plain
+state-propagation entry point.
 
 One function, ``_site_table``, makes the fault sites, as numpy arrays: one
 row per gate or link site and one per idle run, a run of k idle layers
@@ -59,8 +61,10 @@ from .params import ErrorRates, address_bits
 _PAULIS = ("X", "Y", "Z")
 _PAULI_MASKS = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
 
-#: most lanes one pass carries, so the planes of a pass (and its memory) do
-#: not grow with the number of injections or trials an analysis asks for
+#: lanes one pass carries: a Monte Carlo pass at most this many trials, an
+#: exhaustive pass as many whole address groups as fit (at least one), so
+#: the planes of a pass (and its memory) do not grow with the number of
+#: injections or trials an analysis asks for
 _MAX_LANES = 1 << 14
 
 #: per slot, (qubit, X-mask, Y-mask, Z-mask) faults applied before that gate
@@ -368,18 +372,25 @@ def _lane_planes(values: np.ndarray, reg: tuple[int, ...], big_endian: bool,
 
 
 def _query_lanes(circuit: Circuit, addresses: np.ndarray,
-                 faults: LaneFaults | None = None) -> tuple[int, list[int], int, int]:
+                 masks: dict[tuple[int, int], int] | None = None,
+                 pauli: str = "X") -> tuple[int, list[int], int, int]:
     """Run lane i as a basis query of ``addresses[i]``; the one query pass.
 
-    Returns (wrong, planes, lo, hi): ``wrong`` marks the lanes whose measured
-    (address, word) differs from their query's address and table word, and
-    the rest is :func:`run_lanes`' state after the pass.
+    ``masks[slot, qubit]`` marks the lanes that get ``pauli`` on that qubit
+    before gate ``slot``. Returns (wrong, planes, lo, hi): ``wrong`` marks
+    the lanes whose measured (address, word) differs from their query's
+    address and table word, and the rest is :func:`run_lanes`' state after
+    the pass.
     """
     address, bus = circuit.reg("address"), circuit.reg("bus")
     planes = [0] * circuit.n_qubits
     _lane_planes(addresses, address, True, planes)
     wanted = planes.copy()
     _lane_planes(circuit.gate_arrays.words[addresses], bus, False, wanted)
+    x, y, z = _PAULI_MASKS[pauli]
+    faults: LaneFaults = {}
+    for (slot, q), lanes in (masks or {}).items():
+        faults.setdefault(slot, []).append((q, x and lanes, y and lanes, z and lanes))
     lo, hi = run_lanes(circuit, planes, len(addresses), faults)
     wrong = 0
     for q in address + bus:
@@ -388,20 +399,20 @@ def _query_lanes(circuit: Circuit, addresses: np.ndarray,
 
 
 def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: int, hi: int,
-               address: int | None, with_events: bool):
+               with_events: bool):
     """Trials block x _BLOCK + [lo, hi) of the stream: (addresses, ok, events).
 
     The whole block is drawn (:func:`_block_draws`); the range's trials with
     a bit flip run as the lanes of passes of at most ``_MAX_LANES``. Only bit
     flips change a basis query's measured (address, word), so a lane's faults
-    are one flip mask per (slot, qubit): the XOR of its X and Y hits there,
-    as two flips in one trial cancel. Z hits and the phase are not tracked.
+    are one X mask per (slot, qubit): the XOR of its X and Y hits there, as
+    two flips in one trial cancel. Z hits and the phase are not tracked.
     ``events[i]`` lists trial lo + i's hits as :class:`ErrorEvent`, ordered
     by slot and then site, when ``with_events`` is set (else None).
     """
     addresses, trial, row, qubit, pauli = _block_draws(table, circuit.params.N,
                                                        _block_rng(seed, block))
-    addresses = addresses[lo:hi] if address is None else np.full(hi - lo, address)
+    addresses = addresses[lo:hi]
     mine = (trial >= lo) & (trial < hi)
     trial, row, qubit, pauli = trial[mine] - lo, row[mine], qubit[mine], pauli[mine]
     slot = table.slot[row]
@@ -419,10 +430,7 @@ def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: i
         for s, q, i in zip(flip_slot[a:b].tolist(), flip_qubit[a:b].tolist(),
                            (lane[a:b] - first).tolist()):
             flips[s, q] = flips.get((s, q), 0) ^ 1 << i
-        faults: LaneFaults = {}
-        for (s, q), x in flips.items():
-            faults.setdefault(s, []).append((q, x, 0, 0))
-        wrong, *_ = _query_lanes(circuit, addresses[lane_trials], faults)
+        wrong, *_ = _query_lanes(circuit, addresses[lane_trials], flips)
         ok[lane_trials] = _lane_bits(wrong, lanes) == 0
     events = None
     if with_events:
@@ -435,7 +443,6 @@ def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: i
 
 
 def _run_trials(circuit: Circuit, table: _SiteTable, seed: int, trials: range,
-                address: int | None,
                 on_trial: Callable[[int, TrialResult], None] | None) -> int:
     """Run the stream's ``trials`` block by block; returns the failures.
 
@@ -445,7 +452,7 @@ def _run_trials(circuit: Circuit, table: _SiteTable, seed: int, trials: range,
     for block in range(trials.start // _BLOCK, -(-trials.stop // _BLOCK)):
         lo = max(trials.start - block * _BLOCK, 0)
         hi = min(trials.stop - block * _BLOCK, _BLOCK)
-        addresses, ok, events = _run_block(circuit, table, seed, block, lo, hi, address,
+        addresses, ok, events = _run_block(circuit, table, seed, block, lo, hi,
                                            on_trial is not None)
         failures += int(np.count_nonzero(~ok))
         if on_trial is not None:
@@ -461,7 +468,6 @@ def monte_carlo_infidelity(
     trials: int,
     seed: int,
     link_by_gate: dict | None = None,
-    address: int | None = None,
     on_trial: Callable[[int, TrialResult], None] | None = None,
 ) -> dict:
     """Mean failure rate over basis-address queries with binomial stderr.
@@ -469,19 +475,16 @@ def monte_carlo_infidelity(
     Trials are drawn in blocks of ``_BLOCK`` from a (seed, block) generator
     over the merged site table, each block's faulty trials run as the lanes
     of one pass; trial t's address, events and outcome depend on
-    (seed, t // _BLOCK) and t % _BLOCK alone. A fixed ``address`` replaces
-    the drawn one. ``on_trial(t, result)`` sees every trial, in order, e.g.
-    to log it. ``trials`` below 1, a negative ``seed`` and an ``address``
-    outside [0, N) are InvalidParamsErrors.
+    (seed, t // _BLOCK) and t % _BLOCK alone. ``on_trial(t, result)`` sees
+    every trial, in order, e.g. to log it. ``trials`` below 1 and a negative
+    ``seed`` are InvalidParamsErrors.
     """
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
     if seed < 0:
         raise InvalidParamsError(f"seed must be >= 0, got {seed}")
-    if address is not None and not 0 <= address < circuit.params.N:
-        raise InvalidParamsError(f"address {address} outside [0, {circuit.params.N})")
     table = _site_table(circuit, rates, link_by_gate)
-    failures = _run_trials(circuit, table, seed, range(trials), address, on_trial)
+    failures = _run_trials(circuit, table, seed, range(trials), on_trial)
     p = failures / trials
     stderr = float(np.sqrt(p * (1.0 - p) / trials))
     return {"infidelity": p, "stderr": stderr, "trials": trials, "failures": failures}
@@ -489,101 +492,92 @@ def monte_carlo_infidelity(
 
 # -- exhaustive single-error analysis -------------------------------------------
 
-def _query_passes(circuit: Circuit, faults: list[tuple[int, int, str] | None],
+def _query_passes(circuit: Circuit, sites: list[tuple[int, int] | None], pauli: str,
                   addresses: list[int] | np.ndarray):
-    """Run every (fault, address) basis query as one lane, fault-major.
+    """Run every (site, address) basis query as one lane, site-major.
 
-    Lane g injects fault g // len(addresses) (None: no fault) into a query of
-    address addresses[g % len(addresses)]. A pass holds at most _MAX_LANES
-    lanes and may end inside a fault's address group. Yields, per pass,
-    (first lane, lanes, wrong, planes, lo, hi), the last four from
+    Lane g injects ``pauli`` at sites[g // len(addresses)] (None: no fault)
+    into a query of address addresses[g % len(addresses)]. A pass holds whole address
+    groups, as many as fit in ``_MAX_LANES`` and at least one. Yields, per
+    pass, (first site, sites, wrong, planes, lo, hi), the last four from
     :func:`_query_lanes`.
     """
     period = len(addresses)
     addresses = np.asarray(addresses, dtype=np.int64)
     group = (1 << period) - 1
-    total = len(faults) * period
-    for start in range(0, total, _MAX_LANES):
-        lanes = min(_MAX_LANES, total - start)
-        full = (1 << lanes) - 1
-        masks: dict[tuple[int, int], list[int]] = {}
-        for f in range(start // period, (start + lanes - 1) // period + 1):
-            if faults[f] is None:
-                continue
-            slot, q, pauli = faults[f]
-            off = f * period - start
-            own = (group << off if off >= 0 else group >> -off) & full
-            masks.setdefault((slot, q), [0, 0, 0])[_PAULIS.index(pauli)] |= own
-        lane_faults: LaneFaults = {}
-        for (slot, q), (x, y, z) in masks.items():
-            lane_faults.setdefault(slot, []).append((q, x, y, z))
-        skip = start % period
-        queried = np.tile(addresses, -(-(skip + lanes) // period))[skip:skip + lanes]
-        yield start, lanes, *_query_lanes(circuit, queried, lane_faults)
+    step = max(1, _MAX_LANES // period)
+    for first in range(0, len(sites), step):
+        chunk = sites[first:first + step]
+        masks: dict[tuple[int, int], int] = {}
+        for j, site in enumerate(chunk):
+            if site is not None:
+                masks[site] = masks.get(site, 0) | group << j * period
+        yield first, len(chunk), *_query_lanes(circuit, np.tile(addresses, len(chunk)),
+                                               masks, pauli)
 
 
-def _count_groups(plane: int, start: int, lanes: int, period: int,
-                  counts: np.ndarray) -> None:
-    """Add to counts[f] the set lanes of fault f's address group in a pass."""
-    first = start // period
-    hits = np.bincount((np.flatnonzero(_lane_bits(plane, lanes)) + start) // period - first)
-    counts[first:first + len(hits)] += hits
-
-
-def _wrong_counts(circuit: Circuit, faults: list[tuple[int, int, str] | None],
-                  addresses: list[int]) -> list[int]:
-    """Per fault, how many of its queries measure a wrong (address, word)."""
-    counts = np.zeros(len(faults), dtype=np.int64)
-    for start, lanes, wrong, *_ in _query_passes(circuit, faults, addresses):
-        _count_groups(wrong, start, lanes, len(addresses), counts)
-    return counts.tolist()
+def _wrong_counts(circuit: Circuit, sites: list[tuple[int, int] | None], pauli: str,
+                  addresses: list[int]) -> np.ndarray:
+    """Per site, how many of its queries measure a wrong (address, word)."""
+    period = len(addresses)
+    counts = np.zeros(len(sites), dtype=np.int64)
+    for first, k, wrong, *_ in _query_passes(circuit, sites, pauli, addresses):
+        counts[first:first + k] = _lane_bits(wrong, k * period).reshape(k, period).sum(axis=1)
+    return counts
 
 
 def lookup_correct(circuit: Circuit) -> bool:
     """Every fault-free basis query returns its address and table word."""
-    return _wrong_counts(circuit, [None], list(range(circuit.params.N))) == [0]
+    return not _wrong_counts(circuit, [None], "X", list(range(circuit.params.N))).any()
 
 
 def _fault_classes(circuit: Circuit, slot: np.ndarray,
-                   qubit: np.ndarray) -> tuple[list[tuple[int, int, str] | None], np.ndarray]:
-    """Collapse the single faults at sites (slot[i], qubit[i]) for basis queries.
+                   qubit: np.ndarray) -> tuple[list[tuple[int, int] | None], np.ndarray]:
+    """Collapse the single faults at sites (slot[i], qubit[i]).
 
-    Two rules are exact. A Pauli on qubit q before gate s acts as the same
-    Pauli before the first gate at or after s that touches q (len(gates) if
-    none): the gates in between leave q's bit, and so the phase the Pauli
-    adds, alone. And a basis query measures the same (address, word) under
-    Y as under X, and under Z as with no fault. Returns (faults, cls):
-    faults[0] is None and faults[k] an X at the k-th distinct (next-gate
-    slot, qubit); site i's X and Y measure what faults[cls[i]] measures, its
-    Z what faults[0] measures.
+    A Pauli on qubit q before gate s acts as the same Pauli before the first
+    gate at or after s that touches q (len(gates) if none): the gates in
+    between leave q's bit, and so the phase the Pauli adds, alone. Returns
+    (classes, cls): classes[0] is None (no fault) and classes[k] the k-th
+    distinct (next-gate slot, qubit); site i's Paulis act as at
+    classes[cls[i]]. A site outside 0 <= slot <= len(gates) and
+    0 <= qubit < n_qubits is an InvalidParamsError.
     """
-    span = len(circuit.gates) + 1   # slot codes 0..len(gates) per qubit
+    G, nq = len(circuit.gates), circuit.n_qubits
+    if len(slot) and not (0 <= slot.min() and slot.max() <= G
+                          and 0 <= qubit.min() and qubit.max() < nq):
+        raise InvalidParamsError(f"sites need 0 <= slot <= {G} and 0 <= qubit < {nq}")
+    span = G + 1   # slot codes 0..len(gates) per qubit
     touches = circuit.gate_arrays.touches
     code = qubit * span + slot
     nxt = touches[touches.searchsorted(code)]
     code = np.where(nxt // span == qubit, nxt, qubit * span + span - 1)
     classes = np.unique(code)
-    faults = [None, *zip((classes % span).tolist(), (classes // span).tolist(),
-                         itertools.repeat("X"))]
-    return faults, classes.searchsorted(code) + 1
+    return ([None, *zip((classes % span).tolist(), (classes // span).tolist())],
+            classes.searchsorted(code) + 1)
 
 
 def _harmful_fractions(circuit: Circuit, locations: list[Location]) -> list[float]:
     """Per location, the probability a firing corrupts a uniform basis query.
 
-    Equal locations (the layers of one idle run) are queried once, and each
-    (qubit, Pauli) variant takes its :func:`_fault_classes` count; the sum
-    runs over X, Y and Z per qubit, as one query per variant would.
+    Equal locations (the layers of one idle run) are queried once. A basis
+    query measures the same (address, word) under Y as under X and under Z
+    as with no fault, so one X per :func:`_fault_classes` class and the
+    fault-free group give every (qubit, Pauli) variant's count; the sum runs
+    over X, Y and Z per qubit, as one query per variant would. A location
+    without qubits is an InvalidParamsError.
     """
     N = circuit.params.N
     index: dict[Location, int] = {}
     of = [index.setdefault(loc, len(index)) for loc in locations]
+    if any(not loc.qubits for loc in index):
+        raise InvalidParamsError("a Location needs at least one qubit")
     pairs = [(loc.slot, q) for loc in index for q in loc.qubits]
     site = np.fromiter(itertools.chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-    faults, cls = _fault_classes(circuit, site[0::2], site[1::2])
-    wrong = _wrong_counts(circuit, faults, list(range(N)))
-    z = wrong[0]
-    flips = iter(np.asarray(wrong)[cls].tolist())
+    classes, cls = _fault_classes(circuit, site[0::2], site[1::2])
+    wrong = _wrong_counts(circuit, classes, "X", list(range(N)))
+    z = int(wrong[0])
+    flips = iter(wrong[cls].tolist())
     fraction = []
     for loc in index:
         w = 1.0 / (3 * len(loc.qubits))
@@ -628,15 +622,20 @@ class ContainmentReport:
     phase_harmful: list[tuple[int, int, str]]  # benign on basis, harmful in superposition
 
 
-def _phase_harmful(circuit: Circuit, faults: list[tuple[int, int, str]]) -> list[bool]:
-    """Per fault: does it lower a uniform-superposition query's overlap with
-    the ideal output below 1?
+def _phase_harmful(circuit: Circuit, sites: list[tuple[int, int]]) -> np.ndarray:
+    """Per Pauli (rows X, Y, Z) and site: does that Pauli there lower a
+    uniform-superposition query's overlap with the ideal output below 1?
 
     Exact in integers, for a circuit whose ideal map keeps the address
     register (every built lookup does; any other is an InvalidParamsError).
-    Lane (fault, a) then lands in the ideal output set iff its output is the
-    ideal output of the address its register ends with; with c_k landed
-    lanes of phase k, the overlap is ((c0 - c2)^2 + (c1 - c3)^2) / N^2.
+    Lane (site, a) then lands in the ideal output set iff its output is the
+    ideal output of the address its register ends with, and the overlap is
+    1 iff every lane lands with one common phase. One Y per site answers
+    all three Paulis. Y flips the bit as X does, so X's lanes land where
+    Y's do, and X keeps every phase. Y adds the phase 1 + 2b and Z adds 2b,
+    with b the qubit's bit there in the fault-free run, which Y leaves in
+    the ``hi`` plane. So X is harmful iff some lane does not land, Z iff b
+    varies over the addresses, and Y iff either.
     """
     N = circuit.params.N
     addresses = np.arange(N)
@@ -651,9 +650,10 @@ def _phase_harmful(circuit: Circuit, faults: list[tuple[int, int, str]]) -> list
     width = len(addr_reg)
     set_by = [(q, [a for a in range(N) if ideal[q] >> a & 1])
               for q in range(circuit.n_qubits) if q not in addr_reg]
-    counts = np.zeros((4, len(faults)), dtype=np.int64)
-    for start, lanes, _, planes, lo, hi in _query_passes(circuit, faults, addresses):
-        full = (1 << lanes) - 1
+    landed = np.zeros(len(sites), dtype=np.int64)
+    high = np.zeros(len(sites), dtype=np.int64)
+    for first, k, _, planes, _, hi in _query_passes(circuit, sites, "Y", addresses):
+        full = (1 << k * N) - 1
         ends_at = []   # per address: the lanes whose register ends holding it
         for a in range(N):
             at = full
@@ -666,11 +666,10 @@ def _phase_harmful(circuit: Circuit, faults: list[tuple[int, int, str]]) -> list
             for a in hits:
                 want |= ends_at[a]
             missed |= planes[q] ^ want
-        landed = full & ~missed
-        for k, phase in enumerate((~lo & ~hi, lo & ~hi, ~lo & hi, lo & hi)):
-            _count_groups(landed & phase, start, lanes, N, counts[k])
-    c0, c1, c2, c3 = counts
-    return ((c0 - c2) ** 2 + (c1 - c3) ** 2 < N * N).tolist()
+        landed[first:first + k] = _lane_bits(full & ~missed, k * N).reshape(k, N).sum(axis=1)
+        high[first:first + k] = _lane_bits(hi, k * N).reshape(k, N).sum(axis=1)
+    x, z = landed < N, (high > 0) & (high < N)
+    return np.array([x, x | z, z])
 
 
 def containment_experiment(
@@ -690,9 +689,8 @@ def containment_experiment(
     address outside [0, N), a site outside 0 <= slot <= len(gates) and
     0 <= qubit < n_qubits, and a Pauli other than X, Y or Z are
     InvalidParamsErrors. The report lists every injection, site by site;
-    the queries run once per :func:`_fault_classes` class, and the
-    superposition check once per (class, Pauli) among the basis-benign
-    injections.
+    the basis queries run one X per :func:`_fault_classes` class, and the
+    superposition check one Y per class (:func:`_phase_harmful`).
     """
     N, G, nq = circuit.params.N, len(circuit.gates), circuit.n_qubits
     if not 0 <= address < N:
@@ -712,25 +710,18 @@ def containment_experiment(
         if site is None or len(site) != 2 * len(sites):
             raise InvalidParamsError("sites must be (slot, qubit) pairs of integers")
         slot, qubit = site[0::2], site[1::2]
-        if len(slot) and not (0 <= slot.min() and slot.max() <= G
-                              and 0 <= qubit.min() and qubit.max() < nq):
-            raise InvalidParamsError(
-                f"sites need 0 <= slot <= {G} and 0 <= qubit < {nq}")
-    faults, cls = _fault_classes(circuit, slot, qubit)
-    wrong = np.asarray(_wrong_counts(circuit, faults, [address]))
-    pauli = np.array([_PAULIS.index(p) for p in paulis], dtype=np.int64)
-    # per injection (site-major, as listed): its class, and its basis verdict
-    kind = (cls[:, None] * 3 + pauli).reshape(-1)
-    harmful = wrong[np.where(kind % 3 == 2, 0, kind // 3)] > 0
+    classes, cls = _fault_classes(circuit, slot, qubit)
+    wrong = _wrong_counts(circuit, classes, "X", [address])
+    # per injection (site-major, as listed): its class and Pauli; a Z
+    # measures as no fault (class 0)
+    of, pauli = cls[:, None], np.array([_PAULIS.index(p) for p in paulis], dtype=np.int64)
+    harmful = (wrong[np.where(pauli == 2, 0, of)] > 0).ravel()
     injections = [(s, q, p) for s, q in zip(slot.tolist(), qubit.tolist()) for p in paulis]
     benign = list(itertools.compress(injections, (~harmful).tolist()))
     report = ContainmentReport(address, benign,
                                list(itertools.compress(injections, harmful.tolist())), [])
     if check_superposition:
-        kinds, of = np.unique(kind[~harmful], return_inverse=True)
-        flagged = _phase_harmful(circuit, [(*faults[k // 3][:2], _PAULIS[k % 3])
-                                           for k in kinds.tolist()])
-        flagged = np.asarray(flagged, dtype=bool)[of.reshape(-1)]
+        flagged = _phase_harmful(circuit, classes[1:])[pauli, of - 1].ravel()[~harmful]
         report.benign = list(itertools.compress(benign, (~flagged).tolist()))
         report.phase_harmful = list(itertools.compress(benign, flagged.tolist()))
     return report

@@ -6,8 +6,10 @@ These are the loops the bit-sliced analyses replace: one basis run per
 injection, and one basis run per faulty Monte Carlo trial after a
 per-site loop over the block stream's hits, with the idle runs merged from
 a table built one layer at a time. The lane references run every
-(site, Pauli) injection as its own lane, where the exhaustive analyses
-query one lane per class of equivalent single faults.
+(site, Pauli) injection as its own lanes and count a superposition
+query's overlap over all four phases, where the exhaustive analyses query
+one X lane per class of equivalent single faults and read X, Y and Z's
+superposition verdicts off one Y per class.
 The per-gate loops are the ones the array-speed instance pipeline replaces:
 ``emit`` one gate at a time with op lists rebuilt per repetition, link
 classification through ``GridPlacement.distance`` per operand pair, the
@@ -148,8 +150,8 @@ def block_hits(sites: list[Location], block_size: int, N: int,
     return addresses, hits
 
 
-def trials(circuit: Circuit, sites: list[Location], count: int, seed: int,
-           address: int | None = None) -> list[tuple[int, TrialResult]]:
+def trials(circuit: Circuit, sites: list[Location], count: int,
+           seed: int) -> list[tuple[int, TrialResult]]:
     """The Monte Carlo stream: (t, result) per trial, from a per-site loop
     over the merged sites and one basis run each. Block k of
     ``simulator._BLOCK`` trials draws from the (seed, k) generator."""
@@ -168,7 +170,7 @@ def trials(circuit: Circuit, sites: list[Location], count: int, seed: int,
             by_slot: dict[int, list[tuple[int, str]]] = {}
             for e in events:
                 by_slot.setdefault(e.slot, []).append((e.qubit, e.pauli))
-            a = addresses[t] if address is None else address
+            a = addresses[t]
             ok = True if not events else trial_outcome_ok(circuit, a, by_slot)
             out.append((block * size + t, TrialResult(ok=ok, address=a, events=events)))
     return out
@@ -221,30 +223,80 @@ def harmful_weight_by_rate(locations: list[Location],
 LANE_CHUNK = 1024
 
 
-def _chunked(analysis, circuit: Circuit, faults: list, *args) -> list:
-    """``analysis(circuit, faults, *args)``, ``LANE_CHUNK`` faults at a time."""
+def _chunked(analysis, circuit: Circuit, sites: list, *args) -> list:
+    """``analysis(circuit, sites, *args)``, ``LANE_CHUNK`` sites at a time."""
     out: list = []
-    for start in range(0, len(faults), LANE_CHUNK):
-        out += analysis(circuit, faults[start:start + LANE_CHUNK], *args)
+    for start in range(0, len(sites), LANE_CHUNK):
+        out += np.asarray(analysis(circuit, sites[start:start + LANE_CHUNK], *args)).tolist()
     return out
+
+
+def _lane_verdicts(analysis, circuit: Circuit, injections: list, *args) -> list:
+    """``analysis`` per (slot, qubit, Pauli) injection, each its own lanes:
+    the injections of one Pauli go together, ``LANE_CHUNK`` to a call (a
+    pass's fault masks reach as far as its last lane, so one call's cost
+    grows with its lanes squared)."""
+    verdict = {}
+    for pauli in dict.fromkeys(inj[2] for inj in injections):
+        mine = [inj for inj in injections if inj[2] == pauli]
+        verdict.update(zip(mine, _chunked(analysis, circuit, [inj[:2] for inj in mine],
+                                          pauli, *args)))
+    return [verdict[inj] for inj in injections]
+
+
+def overlap_harmful(circuit: Circuit, sites: list[tuple[int, int]], pauli: str) -> list[bool]:
+    """Per site: does ``pauli`` there lower a uniform-superposition query's
+    overlap with the ideal output below 1?
+
+    Lane (site, a) lands in the ideal output set iff its output is the ideal
+    output of the address its register ends with (the ideal map keeps the
+    address register); with c_k landed lanes of phase k, the overlap is
+    ((c0 - c2)^2 + (c1 - c3)^2) / N^2.
+    """
+    N = circuit.params.N
+    addresses = np.arange(N)
+    addr_reg = circuit.reg("address")
+    _, ideal, _, _ = simulator._query_lanes(circuit, addresses)
+    width = len(addr_reg)
+    set_by = [(q, [a for a in range(N) if ideal[q] >> a & 1])
+              for q in range(circuit.n_qubits) if q not in addr_reg]
+    flagged = []
+    for _, k, _, planes, lo, hi in simulator._query_passes(circuit, sites, pauli, addresses):
+        full = (1 << k * N) - 1
+        ends_at = []
+        for a in range(N):
+            at = full
+            for i, q in enumerate(addr_reg):
+                at &= planes[q] if a >> (width - 1 - i) & 1 else ~planes[q]
+            ends_at.append(at)
+        missed = 0
+        for q, hits in set_by:
+            want = 0
+            for a in hits:
+                want |= ends_at[a]
+            missed |= planes[q] ^ want
+        landed = full & ~missed
+        group = (1 << N) - 1
+        for j in range(k):
+            c0, c1, c2, c3 = [((landed & phase) >> j * N & group).bit_count()
+                              for phase in (~lo & ~hi, lo & ~hi, ~lo & hi, lo & hi)]
+            flagged.append((c0 - c2) ** 2 + (c1 - c3) ** 2 < N * N)
+    return flagged
 
 
 def lane_containment(circuit: Circuit, address: int, sites: list[tuple[int, int]],
                      paulis: tuple[str, ...] = PAULIS,
                      check_superposition: bool = False) -> ContainmentReport:
     """The per-injection lane path: every (site, Pauli) as its own query,
-    and every basis-benign one as its own superposition check.
-
-    Injections go ``LANE_CHUNK`` to a call: a pass's fault masks reach as
-    far as its last lane, so one call's cost grows with its lanes squared.
-    """
+    and every basis-benign one as its own superposition check, by the
+    overlap count over all four phases."""
     injections = [(slot, q, pauli) for slot, q in sites for pauli in paulis]
-    wrong = _chunked(simulator._wrong_counts, circuit, injections, [address])
+    wrong = _lane_verdicts(simulator._wrong_counts, circuit, injections, [address])
     benign = [inj for inj, w in zip(injections, wrong) if not w]
     report = ContainmentReport(address, benign,
                                [inj for inj, w in zip(injections, wrong) if w], [])
     if check_superposition:
-        flagged = _chunked(simulator._phase_harmful, circuit, benign)
+        flagged = _lane_verdicts(overlap_harmful, circuit, benign)
         report.benign = [inj for inj, bad in zip(benign, flagged) if not bad]
         report.phase_harmful = [inj for inj, bad in zip(benign, flagged) if bad]
     return report
@@ -257,7 +309,7 @@ def lane_harmful_fractions(circuit: Circuit, locations: list[Location]) -> list[
     distinct = list(dict.fromkeys(locations))
     variants = [(loc.slot, q, pauli) for loc in distinct
                 for q in loc.qubits for pauli in PAULIS]
-    wrong = simulator._wrong_counts(circuit, variants, list(range(N)))
+    wrong = _lane_verdicts(simulator._wrong_counts, circuit, variants, list(range(N)))
     fraction = {}
     pos = 0
     for loc in distinct:

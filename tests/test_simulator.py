@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import binomtest
 
 import scalar_reference
-from conftest import lam_gamma_grid, random_table, trial_outcome_ok
+import qlut
+from conftest import lam_gamma_grid, random_table, trial_outcome_ok, workloads
 from dense_oracle import basis_state, run_dense
 from qlut import simulator
 from qlut.builders import build_lookup, build_reference, build_unified_lookup
@@ -39,7 +40,7 @@ def _stream(circ, table, seed, *ranges):
     sorted by trial."""
     got = []
     for trials in ranges:
-        simulator._run_trials(circ, table, seed, trials, None,
+        simulator._run_trials(circ, table, seed, trials,
                               lambda t, r: got.append((t, r.ok, r.address, r.events)))
     return sorted(got, key=lambda row: row[0])
 
@@ -451,16 +452,49 @@ def test_phase_check_when_the_ideal_map_moves_the_address():
         assert (got.benign, got.harmful) == (want.benign, want.harmful)
 
 
-def test_lane_passes_split_inside_address_groups(monkeypatch):
-    # five lanes per pass: every pass of the 16-address analyses ends inside
-    # a fault's address group
+def test_lane_passes_hold_one_address_group_at_five_lanes(monkeypatch):
+    # five lanes per pass: a 16-address group does not fit, so each pass of
+    # the superposition and first-order analyses holds exactly one whole
+    # group, and the one-address basis passes hold five
     monkeypatch.setattr(simulator, "_MAX_LANES", 5)
     circ = build_unified_lookup(derive_params(16, 4, 2),
                                 random_table(np.random.default_rng(3), 16))
     _, by_gate = classify_links(circ, place_htree(circ))
     locations = build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
     sites = [(slot, q) for slot in range(40, 46) for q in range(circ.n_qubits)]
+    sent = []
+    query_lanes = simulator._query_lanes
+
+    def counting(circuit, addresses, masks=None, pauli="X"):
+        sent.append(len(addresses))
+        return query_lanes(circuit, addresses, masks, pauli)
+
+    monkeypatch.setattr(simulator, "_query_lanes", counting)
     _assert_lanes_match_reference(circ, 6, sites, locations[::25])
+    assert max(sent) == 16 and all(n == 16 or n <= 5 for n in sent) and 5 in sent
+
+
+def test_superposition_check_runs_one_y_per_fault_class(monkeypatch):
+    # one benchmark unified chunk: the basis pass sends one X per
+    # (next-gate slot, qubit) class plus the fault-free lane, and the
+    # superposition check one Y per class times the 16 addresses after the
+    # 16-lane fault-free pass that gives the ideal outputs
+    bench = workloads.Containment(qlut, 0, None, {})
+    circ, sites = bench.uni, bench.uni_sites[0]
+    sent = []
+    query_lanes = simulator._query_lanes
+
+    def counting(circuit, addresses, masks=None, pauli="X"):
+        sent.append((pauli, len(addresses)))
+        return query_lanes(circuit, addresses, masks, pauli)
+
+    monkeypatch.setattr(simulator, "_query_lanes", counting)
+    containment_experiment(circ, 5, sites=sites, check_superposition=True)
+    gates = len(circ.gates)
+    classes = {(next((s for s in range(slot, gates) if q in circ.gates[s].qubits), gates), q)
+               for slot, q in sites}
+    assert len(classes) == 35
+    assert sent == [("X", 35 + 1), ("X", 16), ("Y", 35 * 16)]
 
 
 def test_first_order_queries_each_distinct_location_once(monkeypatch):
@@ -476,9 +510,9 @@ def test_first_order_queries_each_distinct_location_once(monkeypatch):
     sent = []
     wrong_counts = simulator._wrong_counts
 
-    def counting(circuit, faults, addresses):
-        sent.append(len(faults))
-        return wrong_counts(circuit, faults, addresses)
+    def counting(circuit, sites, pauli, addresses):
+        sent.append(len(sites))
+        return wrong_counts(circuit, sites, pauli, addresses)
 
     monkeypatch.setattr(simulator, "_wrong_counts", counting)
     first_order_infidelity(circ, locations)
@@ -500,10 +534,29 @@ def test_pauli_acts_as_at_the_next_gate_on_its_qubit(shape, data):
     pauli = data.draw(st.sampled_from("XYZ"), label="pauli")
     init = data.draw(st.integers(0, (1 << circ.n_qubits) - 1), label="input bits")
     nxt = next((s for s in range(slot, gates) if qubit in circ.gates[s].qubits), gates)
-    faults, cls = simulator._fault_classes(circ, np.array([slot]), np.array([qubit]))
-    assert faults[0] is None and faults[cls[0]] == (nxt, qubit, "X")
+    classes, cls = simulator._fault_classes(circ, np.array([slot]), np.array([qubit]))
+    assert classes[0] is None and classes[cls[0]] == (nxt, qubit)
     assert run_basis(circ, init, {slot: [(qubit, pauli)]}) == \
         run_basis(circ, init, {nxt: [(qubit, pauli)]})
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(shape=st.sampled_from(_lane_shapes()), data=st.data())
+def test_y_moves_bits_as_x_and_adds_the_phase_of_z_plus_one(shape, data):
+    # the rule that lets one Y per class answer X, Y and Z in the
+    # superposition check: with b the qubit's bit at the slot in the
+    # fault-free run, Y gives X's bits with phase 1 + 2b and Z the
+    # fault-free bits with phase 2b
+    circ, _ = _lane_circuit(shape, data)
+    slot = data.draw(st.integers(0, len(circ.gates)), label="slot")
+    qubit = data.draw(st.integers(0, circ.n_qubits - 1), label="qubit")
+    init = data.draw(st.integers(0, (1 << circ.n_qubits) - 1), label="input bits")
+    before, _ = run_basis(dataclasses.replace(circ, gates=circ.gates[:slot]), init)
+    b = before >> qubit & 1
+    x_bits, _ = run_basis(circ, init, {slot: [(qubit, "X")]})
+    free_bits, _ = run_basis(circ, init)
+    assert run_basis(circ, init, {slot: [(qubit, "Y")]}) == (x_bits, (1 + 2 * b) % 4)
+    assert run_basis(circ, init, {slot: [(qubit, "Z")]}) == (free_bits, 2 * b)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=1)
@@ -520,6 +573,26 @@ def test_full_site_containment_matches_lane_reference(shape, data):
     want = scalar_reference.lane_containment(circ, address, sites,
                                              check_superposition=check)
     assert containment_experiment(circ, address, check_superposition=check) == want
+
+
+def test_phase_table_matches_the_overlap_count_at_every_site():
+    # every site under each Pauli, basis-benign or not, on every shape with
+    # N <= 4: the table one Y per site gives against the per-injection
+    # overlap count. It includes X faults that land on another address's
+    # ideal output, so the X row is not always set and the Y row is not
+    # always the X row
+    rng = np.random.default_rng(24)
+    landing = y_only = 0
+    for circ, _ in _shape_circuits(rng):
+        if circ.params.N > 4:
+            continue
+        sites = [(slot, q) for slot in range(len(circ.gates) + 1) for q in range(circ.n_qubits)]
+        table = simulator._phase_harmful(circ, sites)
+        assert table.tolist() == [scalar_reference.overlap_harmful(circ, sites, pauli)
+                                  for pauli in "XYZ"]
+        landing += int(np.count_nonzero(~table[0]))
+        y_only += int(np.count_nonzero(table[1] & ~table[0]))
+    assert landing and y_only
 
 
 def test_containment_classes_repeated_and_partial_inputs():
@@ -599,6 +672,19 @@ def test_containment_rejects_a_site_outside_the_circuit(site):
         containment_experiment(circ, 2, sites=[(0, 0), bad])
 
 
+@pytest.mark.parametrize("location", ["slot past the end", "slot -1", "qubit -1",
+                                      "qubit past the last", "no qubits"])
+@pytest.mark.parametrize("analysis", [first_order_infidelity, harmful_weight_by_rate])
+def test_first_order_rejects_a_location_outside_the_circuit(analysis, location):
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    slot, qubits = {"slot past the end": (len(circ.gates) + 5, (0,)), "slot -1": (-1, (0,)),
+                    "qubit -1": (3, (-1,)), "qubit past the last": (3, (1, circ.n_qubits + 2)),
+                    "no qubits": (3, ())}[location]
+    locations = [Location(0, (0, 1), "eps_c", 1e-3), Location(slot, qubits, "eps_c", 1e-3)]
+    with pytest.raises(InvalidParamsError, match="sites|qubit"):
+        analysis(circ, locations)
+
+
 @pytest.mark.parametrize("pauli", ["W", "x", "I"])
 def test_containment_rejects_an_unknown_pauli(pauli):
     circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
@@ -610,21 +696,6 @@ def test_monte_carlo_rejects_a_negative_seed():
     circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
     with pytest.raises(InvalidParamsError, match="seed"):
         monte_carlo_infidelity(circ, _LANE_RATES, 10, -1)
-
-
-@pytest.mark.parametrize("address", [-1, 8])
-def test_monte_carlo_rejects_an_address_outside_the_table(address):
-    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
-    with pytest.raises(InvalidParamsError, match="address"):
-        monte_carlo_infidelity(circ, _LANE_RATES, 10, 1, address=address)
-
-
-def test_monte_carlo_queries_a_fixed_address_inside_the_table():
-    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
-    got = []
-    monte_carlo_infidelity(circ, _LANE_RATES, 20, 1, address=7,
-                           on_trial=lambda t, r: got.append(r.address))
-    assert got == [7] * 20
 
 
 @pytest.mark.parametrize("bits", ["negative", "past the last qubit"])
@@ -738,14 +809,14 @@ def _assert_site_table_matches_reference(circ, rates, by_gate):
     return sites
 
 
-def _assert_stream_matches_reference(circ, rates, by_gate, trials, seed, address):
+def _assert_stream_matches_reference(circ, rates, by_gate, trials, seed):
     sites = _assert_site_table_matches_reference(circ, rates, by_gate)
     got = []
     summary = monte_carlo_infidelity(
-        circ, rates, trials, seed, link_by_gate=by_gate, address=address,
+        circ, rates, trials, seed, link_by_gate=by_gate,
         on_trial=lambda t, r: got.append((t, r.ok, r.address, r.events)))
     want = [(t, r.ok, r.address, r.events) for t, r in
-            scalar_reference.trials(circ, sites, trials, seed, address)]
+            scalar_reference.trials(circ, sites, trials, seed)]
     assert got == want
     assert summary["failures"] == sum(1 for _, ok, _, _ in want if not ok)
     return want
@@ -767,12 +838,11 @@ def test_monte_carlo_lanes_match_per_trial_reference(shape, data):
         scalar_reference.location_table(circ, rates, by_gate)
     trials = data.draw(st.integers(1, 24), label="trials")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    address = data.draw(st.none() | st.integers(0, circ.params.N - 1), label="address")
     max_lanes = data.draw(st.integers(1, 9), label="max lanes")
     block = data.draw(st.integers(1, 9), label="block")
     with mock.patch.object(simulator, "_MAX_LANES", max_lanes), \
             mock.patch.object(simulator, "_BLOCK", block):
-        _assert_stream_matches_reference(circ, rates, by_gate, trials, seed, address)
+        _assert_stream_matches_reference(circ, rates, by_gate, trials, seed)
 
 
 def test_monte_carlo_stream_matches_reference_across_a_full_block():
@@ -781,7 +851,7 @@ def test_monte_carlo_stream_matches_reference_across_a_full_block():
                                 random_table(np.random.default_rng(5), 8))
     _, by_gate = classify_links(circ, place_htree(circ))
     want = _assert_stream_matches_reference(circ, _LANE_RATES, by_gate,
-                                            simulator._BLOCK + 40, 9, None)
+                                            simulator._BLOCK + 40, 9)
     assert sum(1 for _, ok, _, _ in want if not ok) > 10
 
 
