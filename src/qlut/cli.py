@@ -165,21 +165,6 @@ def sweep_table_csv(table: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_sweep_csv(text: str) -> dict:
-    lines = [ln for ln in text.strip().split("\n") if ln]
-    header = lines[0].split(",")
-    dps = [float(v) for v in header[1:]]
-    dfs = []
-    cells = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        df = float(parts[0])
-        dfs.append(df)
-        for pf, raw in zip(dps, parts[1:]):
-            cells[(df, pf)] = None if raw == "" else float(raw)
-    return {"dFractions": dfs, "dPrimeFractions": dps, "cells": cells}
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -347,9 +332,12 @@ def cmd_simulate(args) -> None:
     log: list[str] = []
 
     def log_trial(t: int, r: TrialResult) -> None:
-        log.append(json.dumps({
-            "trial": t, "address": r.address, "ok": r.ok,
-            "events": [e.to_json() for e in r.events]}, sort_keys=True) + "\n")
+        # json.dumps(..., sort_keys=True) of the trial, written out: every
+        # pauli and source is a fixed ASCII name, so nothing needs escaping
+        events = ", ".join([f'{{"pauli": "{e.pauli}", "qubit": {e.qubit}, "slot": {e.slot}, '
+                            f'"source": "{e.rate_key}"}}' for e in r.events])
+        log.append(f'{{"address": {r.address}, "events": [{events}], '
+                   f'"ok": {"true" if r.ok else "false"}, "trial": {t}}}\n')
 
     result = monte_carlo_infidelity(inst.circuit, inst.rates, args.trials, args.seed,
                                     link_by_gate=inst.by_gate,

@@ -3,7 +3,9 @@
 A Circuit is an ordered tuple of self-inverse gates with ASAP logical layers,
 a role table for its qubits, and named registers. Circuits are frozen after
 build and safe to share across threads, and each computes its read-only
-numpy view, ``Circuit.gate_arrays``, once, on first use.
+numpy view, ``Circuit.gate_arrays``, once, on first use. The view's columns
+per gate (kind, arity, layer, operands) are what the layout and simulator
+read in place of the gate tuples.
 """
 from __future__ import annotations
 
@@ -87,12 +89,17 @@ class RouterIds:
         return (self.t, self.inp, self.left, self.right)
 
 
+#: a gate's ``GateArrays.kind``: its kind's position in ``tuple(GateKind)``
+_KIND_INDEX = {kind: i for i, kind in enumerate(GateKind)}
+
+
 class GateArrays:
     """A circuit's gates and table as read-only numpy arrays.
 
     Per gate its ``arity``, ``layer`` and ``start``, the offset of its first
     operand in ``qubit`` (every gate's operands in gate order); ``words`` is
-    the table as int64, empty without one.
+    the table as int64, empty without one. ``kind``, ``operands`` and
+    ``touches`` are built on first use.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -105,6 +112,25 @@ class GateArrays:
         self.words = np.asarray(() if table is None else table.words, dtype=np.int64)
         for a in vars(self).values():
             a.flags.writeable = False
+        self._gates = gates
+
+    @cached_property
+    def kind(self) -> np.ndarray:
+        """Each gate's kind as its index in ``tuple(GateKind)``."""
+        kinds = map(itemgetter(0), self._gates)
+        kind = np.fromiter(map(_KIND_INDEX.__getitem__, kinds), np.intp, len(self.arity))
+        kind.flags.writeable = False
+        return kind
+
+    @cached_property
+    def operands(self) -> np.ndarray:
+        """Gate i's operands in row i, padded with -1 to the largest arity
+        (width at least 1)."""
+        gate = np.repeat(np.arange(len(self.arity)), self.arity)
+        operands = np.full((len(self.arity), int(self.arity.max(initial=1))), -1, np.intp)
+        operands[gate, np.arange(len(self.qubit)) - self.start[gate]] = self.qubit
+        operands.flags.writeable = False
+        return operands
 
     @cached_property
     def touches(self) -> np.ndarray:
@@ -220,26 +246,6 @@ class CircuitBuilder:
             table=self.table, registers=self.registers, routers=self.routers,
             meta=self.meta,
         )
-
-
-def check_layer_disjointness(circuit: Circuit) -> bool:
-    """Gates within one layer must act on disjoint qubits."""
-    seen: dict[int, set[int]] = {}
-    for g in circuit.gates:
-        used = seen.setdefault(g.layer, set())
-        if used & set(g.qubits):
-            return False
-        used.update(g.qubits)
-    return True
-
-
-def gate_multiset(circuit: Circuit) -> dict:
-    """Layer-independent gate content, for degeneration cross-checks."""
-    counts: dict[tuple, int] = {}
-    for g in circuit.gates:
-        key = (g.kind, g.qubits)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 #: the kind a long-range-flagged gate is exported as

@@ -322,45 +322,47 @@ def classify_links(
     distance <= 1) to every other operand. A long-range gate's
     (m, source, target) is the largest (distance, a, b) over its operand
     pairs, a before b; its level is the lowest tree level among its
-    operands when they span two or more distinct levels, else None. Gates
-    are classified per arity as numpy arrays; links come in gate order.
+    operands when they span two or more distinct levels, else None. Every
+    multi-qubit row of ``gate_arrays.operands`` is classified in one numpy
+    pass, its -1 padding masked out; links come in gate order.
     """
     n = circuit.n_qubits
     view = circuit.gate_arrays
-    row, col = _grid_arrays(placement, n)
-    level_of = np.fromiter((info.level for info in circuit.qubits), np.intp, n)
-    found = []  # per arity: (gate index, m, source, target, level or -1)
-    for k in (np.flatnonzero(np.bincount(view.arity)[2:]) + 2).tolist():
-        gate = np.flatnonzero(view.arity == k)
-        q = view.qubit[view.start[gate, None] + np.arange(k)]
-        r, c = row[q], col[q]
-        dist = (np.abs(r[:, :, None] - r[:, None, :])
-                + np.abs(c[:, :, None] - c[:, None, :]))
-        far = ~(dist <= 1).all(axis=2).any(axis=1)
-        gate, q, dist = gate[far], q[far], dist[far]
-        i, j = np.triu_indices(k, 1)
-        pair_d = dist[:, i, j]
-        # lexicographic max of (distance, a, b) as one integer key
-        key = (pair_d * n + q[:, i]) * n + q[:, j]
-        best = key.argmax(axis=1)
-        pick = np.arange(len(gate))
-        lv = level_of[q]
-        low = np.where(lv >= 0, lv, np.iinfo(np.intp).max).min(axis=1)
-        level = np.where(low < lv.max(axis=1), low, -1)
-        found.append((gate, pair_d[pick, best], q[pick, i[best]], q[pick, j[best]], level))
-    if not found:
+    gate = np.flatnonzero(view.arity >= 2)
+    if not len(gate):
         return [], {}
-    gate, m, src, dst, level = (np.concatenate(v) for v in zip(*found))
-    order = np.argsort(gate)
-    levels = [None if lv < 0 else lv for lv in level[order].tolist()]
+    row, col = _grid_arrays(placement, n)
+    level_of = np.fromiter(map(itemgetter(1), circuit.qubits), np.intp, n)
+    q = view.operands[gate]
+    real = q >= 0
+    r, c = row[q], col[q]
+    # operand pairs a before b; padding trails the operands, so a pair is
+    # real when its b is
+    operand = np.arange(q.shape[1])
+    i, j = np.nonzero(operand[:, None] < operand)
+    pair_d = np.abs(r[:, i] - r[:, j]) + np.abs(c[:, i] - c[:, j])
+    apart = (pair_d > 1) & real[:, j]
+    # a pivot is adjacent to every other operand when no apart pair has it
+    has = (operand == i[:, None]) | (operand == j[:, None])   # pair x operand
+    far = ~(real & ~(apart @ has)).any(axis=1)
+    gate, q, pair_d, real = gate[far], q[far], pair_d[far], real[far]
+    # lexicographic max of (distance, a, b) as one integer key
+    key = np.where(real[:, j], (pair_d * n + q[:, i]) * n + q[:, j], -1)
+    best = key.argmax(axis=1)
+    pick = np.arange(len(gate))
+    m, src, dst = pair_d[pick, best], q[pick, i[best]], q[pick, j[best]]
+    lv = np.where(real, level_of[q], -1)
+    low = np.where(lv >= 0, lv, np.iinfo(np.intp).max).min(axis=1)
+    level = np.where(low < lv.max(axis=1), low, -1)
+    levels = [None if lv < 0 else lv for lv in level.tolist()]
     rest = LinkResource.DISTILLED.value if distillation else LinkResource.GHZ.value
     resource = [LinkResource.FREE.value if lv is not None and lv < free_levels else rest
                 for lv in levels]
     # tuple.__new__ skips the NamedTuple's Python-level __new__
-    links = [_new_tuple(LongRangeLink, row) for row in zip(
-        gate[order].tolist(), src[order].tolist(), dst[order].tolist(),
-        m[order].tolist(), levels, resource)]
-    return links, {link.gate_index: link for link in links}
+    index = gate.tolist()
+    links = list(map(_new_tuple, repeat(LongRangeLink), zip(
+        index, src.tolist(), dst.tolist(), m.tolist(), levels, resource)))
+    return links, dict(zip(index, links))
 
 
 def level_pitches(circuit: Circuit, placement: GridPlacement) -> dict[int, list[int]]:

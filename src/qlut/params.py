@@ -181,13 +181,6 @@ def address_bits(address: int, n: int) -> tuple[int, ...]:
     return tuple((address >> (n - 1 - i)) & 1 for i in range(n))
 
 
-def bits_to_address(bits: tuple[int, ...]) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | (b & 1)
-    return value
-
-
 # JSON field names follow the external schema exactly (camelCase for the
 # derived exponents, "lambda" for the partition size).
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import InvalidParamsError
 from .ir import Circuit, GateKind
@@ -48,12 +49,12 @@ def count_resources(circuit: Circuit, decomposition: Decomposition | str = "t7")
             decomposition = DECOMPOSITIONS[decomposition]
         except KeyError:
             raise InvalidParamsError(f"unknown decomposition {decomposition!r}") from None
-    hist = Counter([g.kind._value_ for g in circuit.gates])
-    t_count = (hist.get(GateKind.CCNOT.value, 0) * decomposition.t_per_ccnot
-               + hist.get(GateKind.CSWAP.value, 0) * decomposition.t_per_cswap)
+    hist = Counter(map(itemgetter(0), circuit.gates))
+    t_count = (hist[GateKind.CCNOT] * decomposition.t_per_ccnot
+               + hist[GateKind.CSWAP] * decomposition.t_per_cswap)
     return ResourceCount(
         t_count=t_count,
         qubit_count=circuit.n_qubits,
         query_depth=circuit.depth,
-        gate_histogram=dict(hist),
+        gate_histogram={kind.value: count for kind, count in hist.items()},
     )

@@ -30,8 +30,10 @@ keeps its address register (every built lookup does) and rejects any
 other with InvalidParamsError. ``run_basis`` (one lane) is the plain
 state-propagation entry point.
 
-One function, ``_site_table``, makes the fault sites, as numpy arrays: one
-row per gate or link site and one per idle run, a run of k idle layers
+One function, ``_site_table``, makes the fault sites, as numpy arrays read
+off the circuit's gate view (a rate per gate ``kind``, candidate qubits from
+the padded ``operands`` matrix, idle runs from ``touches``): one row per
+gate or link site and one per idle run, a run of k idle layers
 firing with the composed probability 3/4 (1 - (1 - 4p/3)^k). The Monte
 Carlo samples it, built once per call; ``build_location_table`` writes it
 out as Locations, a run of k layers as k equal sites at the one-layer rate,
@@ -153,6 +155,10 @@ _GATE_RATE_KEY = {
     GateKind.CNOT: "eps_c",
     GateKind.CCNOT: "eps_cc",
 }
+#: each kind's rate key by its ``GateArrays.kind`` index (None: never fails)
+_KIND_KEY = np.array([_GATE_RATE_KEY.get(kind) for kind in GateKind], dtype=object)
+#: a link's (m, resource), which alone sets its error rate
+_LINK_PAIR = operator.attrgetter("m", "resource")
 
 
 @dataclass(frozen=True)
@@ -170,10 +176,6 @@ class ErrorEvent:
     qubit: int
     pauli: str
     rate_key: str
-
-    def to_json(self) -> dict:
-        return {"slot": self.slot, "qubit": self.qubit, "pauli": self.pauli,
-                "source": self.rate_key}
 
 
 @dataclass
@@ -223,38 +225,29 @@ def _site_table(circuit: Circuit, rates: ErrorRates,
                 link_by_gate: dict[int, LongRangeLink] | None = None) -> _SiteTable:
     """All fault sites with their firing rates; the one place sites are made.
 
-    Long-range-flagged gates draw from their link's error
-    (:func:`layout.long_range_error`) instead of their local gate rate; a
-    firing link hits one endpoint. The idle layers a qubit sits between two
+    A gate's rate and key come from its kind (``gate_arrays.kind``) and its
+    candidate qubits from ``gate_arrays.operands``. Long-range-flagged gates
+    draw from their link's error (:func:`layout.long_range_error`, once per
+    distinct (m, resource)) instead of their local gate rate; a firing link
+    hits one endpoint. The idle layers a qubit sits between two
     of its gates are one ``eps_i`` run charged before the later gate, firing
     at :func:`_idle_run_rate`. Gate and link sites come first, then idle
     runs by qubit and layer; zero-rate sites are dropped.
     """
-    local = {kind: (key, getattr(rates, key)) for kind, key in _GATE_RATE_KEY.items()}
-    link_by_gate = link_by_gate or {}
-    link_rate: dict[tuple[int, str], float] = {}   # a link's rate is set by (m, resource)
-    index, keys, values = [], [], []
-    for idx, g in enumerate(circuit.gates):
-        link = link_by_gate.get(idx)
-        if link is None:
-            key, rate = local.get(g.kind, (None, 0.0))
-        else:
-            key, rate = "eps_l", link_rate.get((link.m, link.resource))
-            if rate is None:
-                rate = link_rate[link.m, link.resource] = long_range_error(link, rates)
-        if rate > 0:
-            index.append(idx)
-            keys.append(key)
-            values.append(rate)
     view = circuit.gate_arrays
-    gate = np.asarray(index, dtype=np.int64)
-    site_arity = view.arity[gate]
-    width = int(site_arity.max(initial=1))
-    operands = np.full((len(gate), width), -1, dtype=np.int64)
-    for j in range(width):
-        has = site_arity > j
-        operands[has, j] = view.qubit[view.start[gate[has]] + j]
-    slot, rate = gate, np.asarray(values, dtype=np.float64)
+    kind_rate = np.array([0.0 if key is None else getattr(rates, key) for key in _KIND_KEY])
+    rate, key = kind_rate[view.kind], _KIND_KEY[view.kind]
+    if link_by_gate:
+        # a link's rate is set by its (m, resource): one long_range_error per pair
+        pairs = list(map(_LINK_PAIR, link_by_gate.values()))
+        link_rate = {pair: long_range_error(link, rates)
+                     for pair, link in dict(zip(pairs, link_by_gate.values())).items()}
+        link_gate = np.fromiter(link_by_gate, np.intp, len(link_by_gate))
+        rate[link_gate] = list(map(link_rate.__getitem__, pairs))
+        key[link_gate] = "eps_l"
+    gate = np.flatnonzero(rate > 0)
+    slot, rate, keys = gate, rate[gate], key[gate].tolist()
+    site_arity, operands = view.arity[gate], view.operands[gate]
     layers = np.ones(len(gate), dtype=np.int64)
     if rates.eps_i > 0:
         # a qubit's touches are in layer order (ASAP), so each gap between two is a run
@@ -262,15 +255,17 @@ def _site_table(circuit: Circuit, rates: ErrorRates,
         run_k = np.diff(view.layer[run_slot]) - 1
         run = (run_q[1:] == run_q[:-1]) & (run_k > 0)
         run_q, run_slot, run_k = run_q[1:][run], run_slot[1:][run], run_k[run]
-        idle = np.full((len(run_q), width), -1, dtype=np.int64)
+        idle = np.full((len(run_q), operands.shape[1]), -1, dtype=np.intp)
         idle[:, 0] = run_q
         slot = np.concatenate([slot, run_slot])
         operands = np.concatenate([operands, idle])
-        site_arity = np.concatenate([site_arity, np.ones(len(run_q), dtype=np.int64)])
+        site_arity = np.concatenate([site_arity, np.ones(len(run_q), dtype=np.intp)])
         keys = keys + ["eps_i"] * len(run_q)
-        lengths, length_of = np.unique(run_k, return_inverse=True)
-        run_rate = np.array([_idle_run_rate(rates.eps_i, k) for k in lengths.tolist()])
-        rate = np.concatenate([rate, run_rate[length_of]])
+        # one _idle_run_rate per distinct run length
+        by_length = np.zeros(run_k.max(initial=0) + 1)
+        lengths = np.flatnonzero(np.bincount(run_k))
+        by_length[lengths] = [_idle_run_rate(rates.eps_i, k) for k in lengths.tolist()]
+        rate = np.concatenate([rate, by_length[run_k]])
         layers = np.concatenate([layers, run_k])
     rows = np.lexsort((site_arity, rate))
     r, a = rate[rows], site_arity[rows]

@@ -26,6 +26,49 @@ def random_table(rng: np.random.Generator, N: int, b: int = 1) -> DataTable:
     return DataTable(words=words, b=b)
 
 
+def bits_to_address(bits: tuple[int, ...]) -> int:
+    value = 0
+    for b in bits:
+        value = (value << 1) | (b & 1)
+    return value
+
+
+def check_layer_disjointness(circuit: Circuit) -> bool:
+    """Gates within one layer must act on disjoint qubits."""
+    seen: dict[int, set[int]] = {}
+    for g in circuit.gates:
+        used = seen.setdefault(g.layer, set())
+        if used & set(g.qubits):
+            return False
+        used.update(g.qubits)
+    return True
+
+
+def gate_multiset(circuit: Circuit) -> dict:
+    """Layer-independent gate content, for degeneration cross-checks."""
+    counts: dict[tuple, int] = {}
+    for g in circuit.gates:
+        key = (g.kind, g.qubits)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def parse_sweep_csv(text: str) -> dict:
+    """A sweep CSV (``cli.sweep_table_csv``) read back into its table."""
+    lines = [ln for ln in text.strip().split("\n") if ln]
+    header = lines[0].split(",")
+    dps = [float(v) for v in header[1:]]
+    dfs = []
+    cells = {}
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        df = float(parts[0])
+        dfs.append(df)
+        for pf, raw in zip(dps, parts[1:]):
+            cells[(df, pf)] = None if raw == "" else float(raw)
+    return {"dFractions": dfs, "dPrimeFractions": dps, "cells": cells}
+
+
 def lam_gamma_grid(N: int):
     """All valid (lambda, gamma) power-of-two pairs for a memory size."""
     lams = []

@@ -14,11 +14,13 @@ The per-gate loops are the ones the array-speed instance pipeline replaces:
 ``emit`` one gate at a time with op lists rebuilt per repetition, link
 classification through ``GridPlacement.distance`` per operand pair, the
 schedule walk over per-qubit dicts, and the gate-list export with one
-join per gate. They are slow and kept only so the tests can compare the
-batched paths against them.
+join per gate. ``trial_log`` writes the trial log with ``json.dumps``.
+They are slow and kept only so the tests can compare the batched paths
+against them.
 """
 from __future__ import annotations
 
+import json
 import math
 from unittest import mock
 
@@ -174,6 +176,15 @@ def trials(circuit: Circuit, sites: list[Location], count: int,
             ok = True if not events else trial_outcome_ok(circuit, a, by_slot)
             out.append((block * size + t, TrialResult(ok=ok, address=a, events=events)))
     return out
+
+
+def trial_log(stream: list[tuple[int, TrialResult]]) -> str:
+    """``qlut simulate --log``'s lines for a stream of (t, result), each
+    one ``json.dumps`` of the trial with sorted keys."""
+    return "".join(json.dumps({
+        "trial": t, "address": r.address, "ok": r.ok,
+        "events": [{"slot": e.slot, "qubit": e.qubit, "pauli": e.pauli, "source": e.rate_key}
+                   for e in r.events]}, sort_keys=True) + "\n" for t, r in stream)
 
 
 def containment(circuit: Circuit, address: int, sites: list[tuple[int, int]],

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from conftest import (
-    classical_lookup, lam_gamma_grid, lookup_target, random_table, trial_outcome_ok,
+    classical_lookup, gate_multiset, lam_gamma_grid, lookup_target, random_table,
+    trial_outcome_ok,
 )
 from qlut import costs
 from qlut.builders import (
     build_lookup, build_reference, build_uncompute, build_unified_lookup,
 )
 from qlut.cli import SweepSpec, sweep_exponent_table, sweep_table_csv
-from qlut.ir import gate_multiset
 from qlut.layout import classify_links, level_pitches, place_htree
 from qlut.params import ErrorRates, Readout, derive_params
 from qlut.resources import count_resources

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    classical_lookup, lam_gamma_grid, lookup_target, masked_stage2_cells, random_table,
+    check_layer_disjointness, classical_lookup, gate_multiset, lam_gamma_grid, lookup_target,
+    masked_stage2_cells, random_table,
 )
 from dense_oracle import basis_state, overlap, run_dense
 from qlut.builders import (
@@ -13,7 +14,7 @@ from qlut.builders import (
     build_multi_bit_parallel, build_multi_bit_sequential, build_reference,
     build_lookup, build_uncompute, build_unified_lookup,
 )
-from qlut.ir import GateKind, Role, Stage, check_layer_disjointness, gate_multiset
+from qlut.ir import GateKind, Role, Stage
 from qlut.params import DataTable, Readout, derive_params
 from qlut.simulator import lookup_correct, run_basis
 from state_helpers import (

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
+from conftest import parse_sweep_csv
 from qlut import cli, costs, simulator
 from qlut.builders import build_lookup
-from qlut.cli import main, parse_sweep_csv, sweep_table_csv, sweep_exponent_table, SweepSpec
+from qlut.cli import main, sweep_table_csv, sweep_exponent_table, SweepSpec
 from qlut.layout import classify_links, place_htree
 from qlut.params import DataTable, arch_params_from_json, derive_params, error_rates_from_json
 
@@ -359,6 +360,25 @@ def test_trial_log_jsonl(tmp_path, monkeypatch):
     assert any(ln["events"] for ln in lines)
     summary = json.loads((tmp_path / "r.json").read_text())
     assert summary["failures"] == sum(1 for ln in lines if not ln["ok"])
+
+
+def test_trial_log_lines_equal_json_dumps_of_the_reference_stream(tmp_path):
+    # two blocks of trials, ok and failed ones, events of every source: the
+    # log's bytes are json.dumps(..., sort_keys=True) of the per-trial stream
+    cfg = _write_config(tmp_path, rates={"epsI": 1e-2, "epsQ": 1e-2, "epsS": 1e-2,
+                                         "epsCS": 1e-2, "epsC": 1e-2, "epsCC": 1e-2,
+                                         "epsF": 1e-2})
+    log = tmp_path / "trials.jsonl"
+    trials, seed = simulator._BLOCK + 40, 5
+    assert main(["simulate", "--config", cfg, "--trials", str(trials), "--seed", str(seed),
+                 "--out", str(tmp_path / "r.json"), "--log", str(log)]) == 0
+    inst = cli._build_instance(cfg)
+    sites = scalar_reference.site_table(inst.circuit, inst.rates, inst.by_gate)
+    stream = scalar_reference.trials(inst.circuit, sites, trials, seed)
+    assert log.read_bytes() == scalar_reference.trial_log(stream).encode()
+    assert {r.ok for _, r in stream} == {True, False}
+    assert {e.rate_key for _, r in stream for e in r.events} == {
+        "eps_s", "eps_cs", "eps_c", "eps_cc", "eps_l", "eps_i"}
 
 
 @pytest.mark.parametrize("params", [

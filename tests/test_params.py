@@ -1,9 +1,10 @@
 import pytest
 
+from conftest import bits_to_address
 from qlut.errors import ConfigError, KOutOfRangeError, NonPowerOfTwoError, OrderingViolationError
 from qlut.params import (
     DataTable, ErrorRates, Readout, Specialization,
-    address_bits, arch_params_from_json, arch_params_to_json, bits_to_address,
+    address_bits, arch_params_from_json, arch_params_to_json,
     derive_params, error_rates_from_json, error_rates_to_json, json_int, specialization,
 )
 

@@ -735,6 +735,10 @@ def test_gate_arrays_match_the_gate_list():
         assert view.layer.tolist() == [g.layer for g in gates]
         assert view.start.tolist() == [sum(arity[:i]) for i in range(len(gates))]
         assert view.qubit.tolist() == [q for g in gates for q in g.qubits]
+        assert view.kind.tolist() == [list(GateKind).index(g.kind) for g in gates]
+        width = max(arity, default=1)
+        assert view.operands.tolist() == [list(g.qubits) + [-1] * (width - len(g.qubits))
+                                          for g in gates]
         span = len(gates) + 1
         assert view.touches.tolist() == sorted(
             q * span + i for i, g in enumerate(gates) for q in g.qubits) + [2**63 - 1]
@@ -746,33 +750,36 @@ def test_gate_arrays_match_the_gate_list():
 
 
 def test_gate_arrays_and_touch_order_are_built_once_per_circuit(monkeypatch):
-    # repeated containment (sites off and at gates) and first-order calls
-    # on one circuit build its view and sort its touch order once
-    built = {"view": 0, "touches": 0}
-    init, touches = GateArrays.__init__, GateArrays.touches.func
+    # repeated Monte Carlo, containment (sites off and at gates) and
+    # first-order calls on one circuit build its view, its kind and operand
+    # columns and its touch order once
+    built = {"view": 0, "kind": 0, "operands": 0, "touches": 0}
+    init = GateArrays.__init__
 
     def counted_init(self, circuit):
         built["view"] += 1
         init(self, circuit)
 
-    def counted_touches(self):
-        built["touches"] += 1
-        return touches(self)
-
-    counted = functools.cached_property(counted_touches)
-    counted.__set_name__(GateArrays, "touches")
     monkeypatch.setattr(GateArrays, "__init__", counted_init)
-    monkeypatch.setattr(GateArrays, "touches", counted)
+    for name in ("kind", "operands", "touches"):
+        def counted_column(self, _name=name, _build=getattr(GateArrays, name).func):
+            built[_name] += 1
+            return _build(self)
+
+        counted = functools.cached_property(counted_column)
+        counted.__set_name__(GateArrays, name)
+        monkeypatch.setattr(GateArrays, name, counted)
     circ = build_unified_lookup(derive_params(8, 4, 2),
                                 random_table(np.random.default_rng(23), 8))
     _, by_gate = classify_links(circ, place_htree(circ))
     locations = build_location_table(circ, _LANE_RATES, link_by_gate=by_gate)
     sites = [(slot, q) for slot in range(0, len(circ.gates) + 1, 7) for q in range(circ.n_qubits)]
     for address in range(8):
+        monte_carlo_infidelity(circ, _LANE_RATES, 20, address, link_by_gate=by_gate)
         containment_experiment(circ, address, sites=sites, check_superposition=True)
         first_order_infidelity(circ, locations[address::4])
         harmful_weight_by_rate(circ, locations)
-    assert built == {"view": 1, "touches": 1}
+    assert built == {"view": 1, "kind": 1, "operands": 1, "touches": 1}
 
 
 def test_location_table_expands_the_site_table():
@@ -807,6 +814,30 @@ def _assert_site_table_matches_reference(circ, rates, by_gate):
         table.rate.tolist())]
     assert got == [(loc.slot, loc.qubits, loc.rate_key, loc.rate) for loc in sites]
     return sites
+
+
+@pytest.mark.parametrize("rates", [
+    ErrorRates(eps_i=1e-3, eps_q=1e-3, eps_cs=3e-3, eps_cc=5e-3, eps_f=1e-2),
+    ErrorRates(eps_q=1e-3, eps_l=2e-2, eps_s=2e-3, eps_c=4e-3),
+], ids=["derived-eps_l", "explicit-eps_l"])
+def test_site_table_matches_reference_at_every_budget(rates):
+    # gate kinds at rate zero, long-range rates derived per link or given,
+    # and every budget k from none to all links free, on every N <= 16
+    # shape; the links themselves against the per-gate classification
+    rng = np.random.default_rng(24)
+    for circ, _ in _shape_circuits(rng):
+        _assert_site_table_matches_reference(circ, rates, {})
+        if circ.meta.get("family") != "tree" or circ.params.b != 1:
+            continue
+        placement = place_htree(circ)
+        for k in range(circ.params.tree_depth + 2):
+            for distillation in (True, False):
+                links, by_gate = classify_links(circ, placement, distillation, k)
+                ref_links, ref_by_gate = scalar_reference.classify_links(
+                    circ, placement, distillation, k)
+                assert links == ref_links
+                assert list(by_gate.items()) == list(ref_by_gate.items())
+                _assert_site_table_matches_reference(circ, rates, by_gate)
 
 
 def _assert_stream_matches_reference(circ, rates, by_gate, trials, seed):
