@@ -426,12 +426,11 @@ def build_uncompute(circuit: Circuit) -> Circuit:
     b.routers = dict(circuit.routers)
     b.meta = dict(circuit.meta)
     b.meta["uncompute"] = True
-    b.extend(circuit.gates)
-    stage3 = [g for g in circuit.gates
-              if g.stage == Stage.III and not bus & set(g.qubits)]
-    b.extend(reversed(stage3))
-    b.extend(circuit.gates_in_stage(Stage.II))
-    b.extend(reversed(circuit.gates_in_stage(Stage.I)))
+    rows = circuit.rows
+    b.extend(rows)
+    b.extend(reversed([r for r in rows if r[3] == Stage.III and not bus & set(r[1])]))
+    b.extend([r for r in rows if r[3] == Stage.II])
+    b.extend(reversed([r for r in rows if r[3] == Stage.I]))
     return b.build()
 
 
@@ -584,16 +583,4 @@ def build_cnot_tree(gamma: int, optimized: bool = True) -> Circuit:
                 b.emit(CNOT, nodes[lev][p], nodes[lev + 1][2 * p + 1])
         b.registers["root"] = (nodes[0][0],)
         b.registers["leaves"] = tuple(nodes[depth])
-    return b.build()
-
-
-def build_linear_router_round(d: int, rep: int) -> Circuit:
-    """Standalone indicator circuit: q = 1 iff the d address bits equal rep."""
-    b = CircuitBuilder()
-    addr = b.new_register("address", Role.ADDRESS, d)
-    ancs = b.new_register("mcx_anc", Role.LINEAR_ROUTER, max(0, d - 2))
-    q = b.new_qubit(Role.CONTROL, pos=0)
-    b.registers["control"] = (q,)
-    sweep = _LinearRouterSweep(b, addr, ancs, q)
-    sweep.advance(address_bits(rep, d) if d else ())
     return b.build()

@@ -1,11 +1,13 @@
 """Gate-level intermediate representation.
 
 A Circuit is an ordered tuple of self-inverse gates with ASAP logical layers,
-a role table for its qubits, and named registers. Circuits are frozen after
-build and safe to share across threads, and each computes its read-only
-numpy view, ``Circuit.gate_arrays``, once, on first use. The view's columns
-per gate (kind, arity, layer, operands) are what the layout and simulator
-read in place of the gate tuples.
+a role table for its qubits, and named registers. Each gate is stored as a
+plain ``(kind, qubits, layer, stage, rep)`` row (``Circuit.rows``), in
+``Gate``'s field order; ``Circuit.gates`` wraps the rows as ``Gate``s on
+first use. Circuits are frozen after build and safe to share across
+threads, and each computes its read-only numpy view, ``Circuit.gate_arrays``,
+once, on first use. The view's columns per gate (kind, arity, layer,
+operands) are what the layout and simulator read in place of the rows.
 """
 from __future__ import annotations
 
@@ -68,6 +70,9 @@ class Gate(NamedTuple):
 #: one gate to emit: its kind and operands
 Op = tuple[GateKind, tuple[int, ...]]
 
+#: one stored gate: a plain tuple in ``Gate``'s field order
+Row = tuple[GateKind, tuple[int, ...], int, str, int]
+
 _new_tuple = tuple.__new__
 
 
@@ -103,21 +108,21 @@ class GateArrays:
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        gates, operands, table = circuit.gates, itemgetter(1), circuit.table
-        self.arity = np.fromiter(map(len, map(operands, gates)), np.intp, len(gates))
-        self.layer = np.fromiter(map(itemgetter(2), gates), np.intp, len(gates))
+        rows, operands, table = circuit.rows, itemgetter(1), circuit.table
+        self.arity = np.fromiter(map(len, map(operands, rows)), np.intp, len(rows))
+        self.layer = np.fromiter(map(itemgetter(2), rows), np.intp, len(rows))
         self.start = np.cumsum(self.arity) - self.arity
-        self.qubit = np.fromiter(chain.from_iterable(map(operands, gates)), np.intp,
+        self.qubit = np.fromiter(chain.from_iterable(map(operands, rows)), np.intp,
                                  int(self.arity.sum()))
         self.words = np.asarray(() if table is None else table.words, dtype=np.int64)
         for a in vars(self).values():
             a.flags.writeable = False
-        self._gates = gates
+        self._rows = rows
 
     @cached_property
     def kind(self) -> np.ndarray:
         """Each gate's kind as its index in ``tuple(GateKind)``."""
-        kinds = map(itemgetter(0), self._gates)
+        kinds = map(itemgetter(0), self._rows)
         kind = np.fromiter(map(_KIND_INDEX.__getitem__, kinds), np.intp, len(self.arity))
         kind.flags.writeable = False
         return kind
@@ -146,7 +151,7 @@ class GateArrays:
 @dataclass(frozen=True)
 class Circuit:
     qubits: tuple[QubitInfo, ...]
-    gates: tuple[Gate, ...]
+    rows: tuple[Row, ...]
     params: ArchParams | None
     table: DataTable | None
     registers: dict[str, tuple[int, ...]]
@@ -159,13 +164,15 @@ class Circuit:
 
     @property
     def depth(self) -> int:
-        return self.gates[-1].layer + 1 if self.gates else 0
+        return self.rows[-1][2] + 1 if self.rows else 0
 
     def reg(self, name: str) -> tuple[int, ...]:
         return self.registers[name]
 
-    def gates_in_stage(self, stage: str) -> list[Gate]:
-        return [g for g in self.gates if g.stage == stage]
+    @cached_property
+    def gates(self) -> tuple[Gate, ...]:
+        """The rows as named ``Gate``s, built on first use."""
+        return tuple(map(Gate._make, self.rows))
 
     gate_arrays = cached_property(GateArrays)   # built on first use
 
@@ -175,7 +182,7 @@ class CircuitBuilder:
 
     def __init__(self, params: ArchParams | None = None, table: DataTable | None = None):
         self.qubits: list[QubitInfo] = []
-        self.gates: list[Gate] = []
+        self.gates: list[Row] = []
         self.registers: dict[str, tuple[int, ...]] = {}
         self.routers: dict[tuple[int, int, int], RouterIds] = {}
         self.meta: dict = {}
@@ -230,19 +237,18 @@ class CircuitBuilder:
                 layer = max([frontier[q] for q in qubits])
                 for q in qubits:
                     frontier[q] = layer + 1
-            # tuple.__new__ skips the NamedTuple's Python-level __new__
-            append(_new_tuple(Gate, (kind, tuple(qubits), layer, stage, rep)))
+            append((kind, tuple(qubits), layer, stage, rep))
 
-    def extend(self, gates: Iterable[Gate]) -> None:
+    def extend(self, rows: Iterable[Row]) -> None:
         """Re-emit existing gates (fresh layers, original stage tags kept)."""
         stage, rep = self.stage, self.rep
-        for (self.stage, self.rep), run in groupby(gates, key=lambda g: (g.stage, g.rep)):
-            self.emit_ops((g.kind, g.qubits) for g in run)
+        for (self.stage, self.rep), run in groupby(rows, key=itemgetter(3, 4)):
+            self.emit_ops(map(itemgetter(0, 1), run))
         self.stage, self.rep = stage, rep
 
     def build(self) -> Circuit:
         return Circuit(
-            qubits=tuple(self.qubits), gates=tuple(self.gates), params=self.params,
+            qubits=tuple(self.qubits), rows=tuple(self.gates), params=self.params,
             table=self.table, registers=self.registers, routers=self.routers,
             meta=self.meta,
         )
@@ -264,13 +270,13 @@ def export_gate_list(circuit: Circuit, link_by_gate: dict[int, "object"] | None 
     operands: dict[tuple[int, ...], str] = {}
     lines = []
     append = lines.append
-    for kind, qubits, layer, stage, _ in circuit.gates:
+    for kind, qubits, layer, stage, _ in circuit.rows:
         text = operands.get(qubits)
         if text is None:
             text = operands[qubits] = " ".join([ids[q] for q in qubits])
         append(f"LAYER {layer} STAGE {stage} {kind._value_} {text}")
     for idx, link in (link_by_gate or {}).items():
-        kind, qubits, layer, stage, _ = circuit.gates[idx]
+        kind, qubits, layer, stage, _ = circuit.rows[idx]
         kind = _LONG_RANGE_KIND.get(kind, kind)
         lines[idx] = f"LAYER {layer} STAGE {stage} {kind.value} {operands[qubits]} len={link.m}"
     return "\n".join(lines) + "\n"

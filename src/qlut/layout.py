@@ -448,7 +448,7 @@ def _walked_starts(circuit: Circuit, durations: list[int]) -> np.ndarray:
     append = starts.append
     # unrolled for the one-, two- and three-qubit gates the builders emit:
     # this loop is the whole cost the flag adds
-    for qubits, d in zip(map(itemgetter(1), circuit.gates), durations):
+    for qubits, d in zip(map(itemgetter(1), circuit.rows), durations):
         k = len(qubits)
         if k == 2:
             a, b = qubits
@@ -548,12 +548,12 @@ def build_schedule(
     tau: dict[int, int] = {}
     crossings: dict[int, int] = {level: 0 for level in range(max(0, D - 1))}
     inject_end = 0
-    gates, qubits = circuit.gates, circuit.qubits
+    rows, qubits = circuit.rows, circuit.qubits
     CNOT, SWAP = GateKind.CNOT, GateKind.SWAP
     for g, end, is_inject, is_deposit, is_branch in zip(
             pair[hit].tolist(), t1[pair[hit]].tolist(), inject[hit].tolist(),
             deposit[hit].tolist(), branch[hit].tolist()):
-        kind, (q0, q1), _, stage, _ = gates[g]
+        kind, (q0, q1), _, stage, _ = rows[g]
         if kind is CNOT:
             if is_inject:
                 inject_end = end

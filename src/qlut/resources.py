@@ -49,7 +49,7 @@ def count_resources(circuit: Circuit, decomposition: Decomposition | str = "t7")
             decomposition = DECOMPOSITIONS[decomposition]
         except KeyError:
             raise InvalidParamsError(f"unknown decomposition {decomposition!r}") from None
-    hist = Counter(map(itemgetter(0), circuit.gates))
+    hist = Counter(map(itemgetter(0), circuit.rows))
     t_count = (hist[GateKind.CCNOT] * decomposition.t_per_ccnot
                + hist[GateKind.CSWAP] * decomposition.t_per_cswap)
     return ResourceCount(

@@ -85,16 +85,16 @@ def run_lanes(circuit: Circuit, planes: list[int], lanes: int,
     """
     full = (1 << lanes) - 1
     faults = faults or {}
-    gates = circuit.gates
+    rows = circuit.rows
     s = planes
     lo = hi = 0
     X, CC_X, CNOT, SWAP, CSWAP, CCNOT = (GateKind.X, GateKind.CC_X, GateKind.CNOT,
                                          GateKind.SWAP, GateKind.CSWAP, GateKind.CCNOT)
-    stops = sorted(slot for slot in faults if slot < len(gates))
-    stops.append(len(gates))
+    stops = sorted(slot for slot in faults if slot < len(rows))
+    stops.append(len(rows))
     pos = 0
     for stop in stops:
-        for g in gates[pos:stop]:
+        for g in rows[pos:stop]:
             kind, qs = g[0], g[1]
             if kind is CSWAP:
                 c, a, b = qs
@@ -251,7 +251,7 @@ def _site_table(circuit: Circuit, rates: ErrorRates,
     layers = np.ones(len(gate), dtype=np.int64)
     if rates.eps_i > 0:
         # a qubit's touches are in layer order (ASAP), so each gap between two is a run
-        run_q, run_slot = np.divmod(view.touches[:-1], len(circuit.gates) + 1)
+        run_q, run_slot = np.divmod(view.touches[:-1], len(circuit.rows) + 1)
         run_k = np.diff(view.layer[run_slot]) - 1
         run = (run_q[1:] == run_q[:-1]) & (run_k > 0)
         run_q, run_slot, run_k = run_q[1:][run], run_slot[1:][run], run_k[run]
@@ -288,14 +288,14 @@ def build_location_table(
     of k layers k equal ``eps_i`` Locations at rate ``eps_i``.
     """
     table = _site_table(circuit, rates, link_by_gate)
-    gates = circuit.gates
+    rows = circuit.rows
     locs = []
     for slot, q, key, rate, k in zip(table.slot.tolist(), table.operands[:, 0].tolist(),
                                      table.keys, table.rate.tolist(), table.layers.tolist()):
         if key == "eps_i":
             locs += [Location(slot, (q,), key, rates.eps_i)] * k
         else:
-            locs.append(Location(slot, gates[slot].qubits, key, rate))
+            locs.append(Location(slot, rows[slot][1], key, rate))
     return locs
 
 
@@ -538,7 +538,7 @@ def _fault_classes(circuit: Circuit, slot: np.ndarray,
     classes[cls[i]]. A site outside 0 <= slot <= len(gates) and
     0 <= qubit < n_qubits is an InvalidParamsError.
     """
-    G, nq = len(circuit.gates), circuit.n_qubits
+    G, nq = len(circuit.rows), circuit.n_qubits
     if len(slot) and not (0 <= slot.min() and slot.max() <= G
                           and 0 <= qubit.min() and qubit.max() < nq):
         raise InvalidParamsError(f"sites need 0 <= slot <= {G} and 0 <= qubit < {nq}")
@@ -687,7 +687,7 @@ def containment_experiment(
     the basis queries run one X per :func:`_fault_classes` class, and the
     superposition check one Y per class (:func:`_phase_harmful`).
     """
-    N, G, nq = circuit.params.N, len(circuit.gates), circuit.n_qubits
+    N, G, nq = circuit.params.N, len(circuit.rows), circuit.n_qubits
     if not 0 <= address < N:
         raise InvalidParamsError(f"address {address} outside [0, {N})")
     for pauli in paulis:

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qlut.ir import Circuit
-from qlut.params import DataTable, derive_params
+from qlut.builders import _LinearRouterSweep
+from qlut.ir import Circuit, CircuitBuilder, Role
+from qlut.params import DataTable, address_bits, derive_params
 from qlut.simulator import run_basis
 from state_helpers import basis_input, expected_word, pack_register, read_register
 
@@ -31,6 +32,18 @@ def bits_to_address(bits: tuple[int, ...]) -> int:
     for b in bits:
         value = (value << 1) | (b & 1)
     return value
+
+
+def build_linear_router_round(d: int, rep: int) -> Circuit:
+    """Standalone indicator circuit: q = 1 iff the d address bits equal rep."""
+    b = CircuitBuilder()
+    addr = b.new_register("address", Role.ADDRESS, d)
+    ancs = b.new_register("mcx_anc", Role.LINEAR_ROUTER, max(0, d - 2))
+    q = b.new_qubit(Role.CONTROL, pos=0)
+    b.registers["control"] = (q,)
+    sweep = _LinearRouterSweep(b, addr, ancs, q)
+    sweep.advance(address_bits(rep, d) if d else ())
+    return b.build()
 
 
 def check_layer_disjointness(circuit: Circuit) -> bool:

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
-    check_layer_disjointness, classical_lookup, gate_multiset, lam_gamma_grid, lookup_target,
-    masked_stage2_cells, random_table,
+    build_linear_router_round, check_layer_disjointness, classical_lookup, gate_multiset,
+    lam_gamma_grid, lookup_target, masked_stage2_cells, random_table,
 )
 from dense_oracle import basis_state, overlap, run_dense
 from qlut.builders import (
-    ReferenceKind, build_cnot_tree, build_cswap_router, build_linear_router_round,
-    build_multi_bit_parallel, build_multi_bit_sequential, build_reference,
-    build_lookup, build_uncompute, build_unified_lookup,
+    ReferenceKind, build_cnot_tree, build_cswap_router, build_multi_bit_parallel,
+    build_multi_bit_sequential, build_reference, build_lookup, build_uncompute,
+    build_unified_lookup,
 )
 from qlut.ir import GateKind, Role, Stage
 from qlut.params import DataTable, Readout, derive_params
@@ -177,7 +177,7 @@ def test_stage2_postcondition_matches_masked_xor(rng):
         circ = build_unified_lookup(params, table)
         n_stage12 = sum(1 for g in circ.gates if g.stage in (Stage.I, Stage.II))
         partial = type(circ)(
-            qubits=circ.qubits, gates=circ.gates[:n_stage12], params=params,
+            qubits=circ.qubits, rows=circ.rows[:n_stage12], params=params,
             table=table, registers=circ.registers, routers=circ.routers)
         for a in range(N):
             out, _ = run_basis(partial, basis_input(partial, a))

@@ -1,4 +1,5 @@
 import csv
+import functools
 import gc
 import json
 import math
@@ -15,6 +16,7 @@ from conftest import parse_sweep_csv
 from qlut import cli, costs, simulator
 from qlut.builders import build_lookup
 from qlut.cli import main, sweep_table_csv, sweep_exponent_table, SweepSpec
+from qlut.ir import Circuit
 from qlut.layout import classify_links, place_htree
 from qlut.params import DataTable, arch_params_from_json, derive_params, error_rates_from_json
 
@@ -331,6 +333,27 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert main(["simulate", "--config", cfg, "--trials", "200", "--seed", "3",
                  "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_commands_never_build_the_named_gate_view(tmp_path, monkeypatch, capsys):
+    # the package reads Circuit.rows; wrapping every row as a Gate is left
+    # to callers that ask for Circuit.gates
+    built = []
+
+    def counted(self, _build=Circuit.gates.func):
+        built.append(self)
+        return _build(self)
+
+    view = functools.cached_property(counted)
+    view.__set_name__(Circuit, "gates")
+    monkeypatch.setattr(Circuit, "gates", view)
+    cfg = _write_config(tmp_path, params={"N": 64, "lambda": 8, "gamma": 2})
+    assert main(["report", "--config", cfg]) == 0
+    assert main(["export-gates", "--config", cfg, "--out", str(tmp_path / "g.txt")]) == 0
+    assert main(["simulate", "--config", cfg, "--trials", "20", "--seed", "3",
+                 "--out", str(tmp_path / "s.json"), "--log", str(tmp_path / "t.jsonl")]) == 0
+    capsys.readouterr()
+    assert built == []
 
 
 def test_trial_log_jsonl(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import scalar_reference
-from conftest import lam_gamma_grid, random_table, workloads
+from conftest import build_linear_router_round, lam_gamma_grid, random_table, workloads
 from qlut import builders
 from qlut.ir import CircuitBuilder, GateKind, Role, Stage, export_gate_list
 from qlut.layout import GridPlacement, build_schedule, classify_links, place_htree
@@ -159,7 +159,7 @@ def test_schedule_matches_walk_on_deep_trees(N, lam, gamma):
 @pytest.mark.parametrize("circuit", [
     builders.build_cnot_tree(4), builders.build_cnot_tree(4, optimized=False),
     builders.build_cswap_router(), builders.build_cswap_router(merged=True),
-    builders.build_linear_router_round(3, 5),
+    build_linear_router_round(3, 5),
 ], ids=["cnot-tree", "cnot-tree-literal", "cswap-router", "cswap-router-merged",
         "linear-router-round"])
 def test_schedule_of_circuit_without_address_or_input(circuit):
@@ -183,12 +183,12 @@ def test_layers_are_asap_layers_of_the_gate_order(shape):
     assert np.array_equal(view.layer, asap)
 
 
-@pytest.mark.parametrize("qubits", [(0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 1)])
+@pytest.mark.parametrize("qubits", [(0, 0), (0, 1, 0), (1, 0, 0), (0, 1, 1), (0, 1, 2, 0)])
 def test_repeated_operand_raises(qubits):
     kind = GateKind.CNOT if len(qubits) == 2 else GateKind.CSWAP
     for emit in (lambda b: b.emit(kind, *qubits), lambda b: b.emit_ops([(kind, qubits)])):
         b = CircuitBuilder()
-        for _ in range(2):
+        for _ in range(3):
             b.new_qubit(Role.INPUT)
         with pytest.raises(ValueError, match="duplicate operand"):
             emit(b)

@@ -16,7 +16,7 @@ from dense_oracle import basis_state, run_dense
 from qlut import simulator
 from qlut.builders import build_lookup, build_reference, build_unified_lookup
 from qlut.errors import InvalidParamsError
-from qlut.ir import CircuitBuilder, GateArrays, GateKind, Role, Stage
+from qlut.ir import CircuitBuilder, Gate, GateArrays, GateKind, Role, Stage
 from qlut.layout import classify_links, long_range_error, place_htree
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.simulator import (
@@ -201,7 +201,7 @@ def test_saturated_cswap_noise_toy_model(rng):
             # apply the gate to every branch (phases do not affect outcomes)
             stepped = {}
             for bits, pr in dist.items():
-                one = type(circ)(qubits=circ.qubits, gates=[g], params=circ.params,
+                one = type(circ)(qubits=circ.qubits, rows=[g], params=circ.params,
                                  table=circ.table, registers=circ.registers,
                                  routers=circ.routers)
                 nb, _ = run_basis(one, bits)
@@ -551,7 +551,7 @@ def test_y_moves_bits_as_x_and_adds_the_phase_of_z_plus_one(shape, data):
     slot = data.draw(st.integers(0, len(circ.gates)), label="slot")
     qubit = data.draw(st.integers(0, circ.n_qubits - 1), label="qubit")
     init = data.draw(st.integers(0, (1 << circ.n_qubits) - 1), label="input bits")
-    before, _ = run_basis(dataclasses.replace(circ, gates=circ.gates[:slot]), init)
+    before, _ = run_basis(dataclasses.replace(circ, rows=circ.rows[:slot]), init)
     b = before >> qubit & 1
     x_bits, _ = run_basis(circ, init, {slot: [(qubit, "X")]})
     free_bits, _ = run_basis(circ, init)
@@ -743,6 +743,9 @@ def test_gate_arrays_match_the_gate_list():
         assert view.touches.tolist() == sorted(
             q * span + i for i, g in enumerate(gates) for q in g.qubits) + [2**63 - 1]
         assert view.words.tolist() == list(circ.table.words)
+        assert gates == tuple(Gate(*row) for row in circ.rows)
+        assert all(type(g) is Gate for g in gates)
+        assert circ.gates is gates
         other = random_table(rng, circ.params.N, circ.params.b)
         copy = dataclasses.replace(circ, table=other)
         assert copy.gate_arrays is not view
