@@ -16,18 +16,20 @@ collector alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import gc
 import json
 import os
+import stat
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import costs
 from .builders import build_lookup
 from .errors import ConfigError, InvalidParamsError, QlutError
-from .ir import Circuit, export_gate_list
+from .ir import Circuit, gate_lines
 from .layout import (
     GridPlacement, LongRangeLink, build_schedule, classify_links, place_htree,
 )
@@ -37,7 +39,7 @@ from .params import (
     specialization,
 )
 from .resources import count_resources
-from .simulator import TrialResult, lookup_correct, monte_carlo_infidelity
+from .simulator import _BLOCK, TrialResult, lookup_correct, monte_carlo_infidelity
 
 _K_RULES = {
     "Zero": 0.0,
@@ -218,19 +220,57 @@ def _build_instance(path: str) -> _Instance:
     return _Instance(params, rates, circuit, placement, links, by_gate)
 
 
-def _write(path: str, text: str) -> None:
-    """Write one output file; an unwritable path is a config error."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
+class _Output:
+    """One output file, overwritten in place from text chunks.
+
+    The file opens at the first ``write``, without truncation: emptying an
+    existing file before the rewrite stalls on some filesystems. At exit a
+    regular file is cut to the length written, so it holds exactly the new
+    text, or the text written before an exception escaped the block;
+    devices and FIFOs such as ``/dev/stdout`` are left as they are. A block
+    that raises before its first write creates no file. An OSError is a
+    config error.
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self._fh = None
+
+    def write(self, text: str) -> None:
+        try:
+            if self._fh is None:
+                fd = os.open(self.path, os.O_WRONLY | os.O_CREAT, 0o666)
+                self._fh = open(fd, "w", encoding="utf-8")
+            self._fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {self.path}: {exc}") from exc
+
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._fh is None:
+            return
+        try:
+            with self._fh as fh:
+                if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    fh.truncate()
+        except OSError as err:
+            if exc_type is None:
+                raise ConfigError(f"cannot write {self.path}: {err}") from err
+
+
+def _write(path: str, chunks: Iterable[str]) -> None:
+    """Write one output file from its text chunks (see :class:`_Output`)."""
+    with _Output(path) as out:
+        for chunk in chunks:
+            out.write(chunk)
 
 
 def _emit(payload: dict, out_path: str | None) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if out_path:
-        _write(out_path, text)
+        _write(out_path, (text,))
     else:
         sys.stdout.write(text)
 
@@ -289,7 +329,7 @@ def cmd_sweep(args) -> None:
         spec = SweepSpec.from_json({**obj, "kRule": rule})
         table = sweep_exponent_table(spec)
         name = f"sweep_{spec.metric}_{rule}"
-        _write(os.path.join(args.out, name + ".csv"), sweep_table_csv(table))
+        _write(os.path.join(args.out, name + ".csv"), (sweep_table_csv(table),))
         summary[rule] = {
             f"{df}/{pf}": table["cells"][(df, pf)]
             for df in table["dFractions"] for pf in table["dPrimeFractions"]
@@ -300,7 +340,7 @@ def cmd_sweep(args) -> None:
 
 def cmd_export_gates(args) -> None:
     inst = _build_instance(args.config)
-    _write(args.out, export_gate_list(inst.circuit, inst.by_gate))
+    _write(args.out, gate_lines(inst.circuit, inst.by_gate))
 
 
 def cmd_export_layout(args) -> None:
@@ -322,28 +362,31 @@ def cmd_export_layout(args) -> None:
         grid[r][c] = "~"
     rows = ["".join(row) for row in reversed(grid)]
     base = args.out
-    _write(base + ".json", json.dumps(placement.to_json(), sort_keys=True, indent=2) + "\n")
-    _write(base + "_links.csv", "".join(csv))
-    _write(base + ".txt", "\n".join(rows) + "\n")
+    _write(base + ".json", (json.dumps(placement.to_json(), sort_keys=True, indent=2) + "\n",))
+    _write(base + "_links.csv", csv)
+    _write(base + ".txt", ("\n".join(rows) + "\n",))
 
 
 def cmd_simulate(args) -> None:
     inst = _build_instance(args.config)
-    log: list[str] = []
+    lines: list[str] = []
 
     def log_trial(t: int, r: TrialResult) -> None:
         # json.dumps(..., sort_keys=True) of the trial, written out: every
         # pauli and source is a fixed ASCII name, so nothing needs escaping
         events = ", ".join([f'{{"pauli": "{e.pauli}", "qubit": {e.qubit}, "slot": {e.slot}, '
                             f'"source": "{e.rate_key}"}}' for e in r.events])
-        log.append(f'{{"address": {r.address}, "events": [{events}], '
-                   f'"ok": {"true" if r.ok else "false"}, "trial": {t}}}\n')
+        lines.append(f'{{"address": {r.address}, "events": [{events}], '
+                     f'"ok": {"true" if r.ok else "false"}, "trial": {t}}}\n')
+        # one write per block of the Monte Carlo stream
+        if (t + 1) % _BLOCK == 0 or t + 1 == args.trials:
+            log.write("".join(lines))
+            lines.clear()
 
-    result = monte_carlo_infidelity(inst.circuit, inst.rates, args.trials, args.seed,
-                                    link_by_gate=inst.by_gate,
-                                    on_trial=log_trial if args.log else None)
-    if args.log:
-        _write(args.log, "".join(log))
+    with _Output(args.log) if args.log else contextlib.nullcontext() as log:
+        result = monte_carlo_infidelity(inst.circuit, inst.rates, args.trials, args.seed,
+                                        link_by_gate=inst.by_gate,
+                                        on_trial=log_trial if log else None)
     _emit(result, args.out)
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 from functools import cached_property
 from itertools import chain, groupby
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -258,25 +258,48 @@ class CircuitBuilder:
 _LONG_RANGE_KIND = {GateKind.SWAP: GateKind.LR_SWAP, GateKind.CNOT: GateKind.LR_CNOT}
 
 
+#: most gate-list lines in one chunk of :func:`gate_lines`
+_CHUNK_LINES = 4096
+
+
+def gate_lines(circuit: Circuit,
+               link_by_gate: dict[int, "object"] | None = None) -> Iterator[str]:
+    """The gate list of :func:`export_gate_list` in chunks of at most
+    ``_CHUNK_LINES`` newline-terminated lines; an empty circuit gives one
+    empty line."""
+    rows = circuit.rows
+    if not rows:
+        yield "\n"
+        return
+    ids = [str(q) for q in range(circuit.n_qubits)]
+    # operand strings per distinct operand tuple: the builders repeat the
+    # same op lists, so most gates reuse one
+    operands: dict[tuple[int, ...], str] = {}
+    flagged = sorted((link_by_gate or {}).items())
+    f = 0
+    for start in range(0, len(rows), _CHUNK_LINES):
+        stop = start + _CHUNK_LINES
+        lines = []
+        append = lines.append
+        for kind, qubits, layer, stage, _ in rows[start:stop]:
+            text = operands.get(qubits)
+            if text is None:
+                text = operands[qubits] = " ".join([ids[q] for q in qubits])
+            append(f"LAYER {layer} STAGE {stage} {kind._value_} {text}\n")
+        while f < len(flagged) and flagged[f][0] < stop:
+            idx, link = flagged[f]
+            f += 1
+            kind, qubits, layer, stage, _ = rows[idx]
+            kind = _LONG_RANGE_KIND.get(kind, kind)
+            lines[idx - start] = (f"LAYER {layer} STAGE {stage} {kind._value_} "
+                                  f"{operands[qubits]} len={link.m}\n")
+        yield "".join(lines)
+
+
 def export_gate_list(circuit: Circuit, link_by_gate: dict[int, "object"] | None = None) -> str:
     """One gate per line: ``LAYER <k> STAGE <s> <KIND> <qubit ids> [len=<m>]``.
 
     When a link classification is supplied, flagged SWAP/CNOT gates are
     renamed to their long-range kinds and annotated with the path length.
     """
-    ids = [str(q) for q in range(circuit.n_qubits)]
-    # operand strings per distinct operand tuple: the builders repeat the
-    # same op lists, so most gates reuse one
-    operands: dict[tuple[int, ...], str] = {}
-    lines = []
-    append = lines.append
-    for kind, qubits, layer, stage, _ in circuit.rows:
-        text = operands.get(qubits)
-        if text is None:
-            text = operands[qubits] = " ".join([ids[q] for q in qubits])
-        append(f"LAYER {layer} STAGE {stage} {kind._value_} {text}")
-    for idx, link in (link_by_gate or {}).items():
-        kind, qubits, layer, stage, _ = circuit.rows[idx]
-        kind = _LONG_RANGE_KIND.get(kind, kind)
-        lines[idx] = f"LAYER {layer} STAGE {stage} {kind.value} {operands[qubits]} len={link.m}"
-    return "\n".join(lines) + "\n"
+    return "".join(gate_lines(circuit, link_by_gate))

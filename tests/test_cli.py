@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -279,6 +280,105 @@ def test_unwritable_path_exits_2(tmp_path, capsys, argv):
     argv = [a.format(missing=tmp_path / "missing_dir", file=tmp_path / "file") for a in argv]
     assert main(argv[:1] + ["--config", cfg] + argv[1:]) == 2
     assert "config error: cannot " in capsys.readouterr().err
+
+
+def test_export_over_a_longer_file_leaves_only_the_new_bytes(tmp_path):
+    # outputs are overwritten in place and cut to their new length
+    cfg = _write_config(tmp_path, params={"N": 2, "lambda": 2, "gamma": 1}, table=[1, 0])
+    fresh, reused = tmp_path / "fresh.txt", tmp_path / "reused.txt"
+    reused.write_bytes(b"x" * 100_000)
+    assert main(["export-gates", "--config", cfg, "--out", str(fresh)]) == 0
+    assert main(["export-gates", "--config", cfg, "--out", str(reused)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes() == GOLDEN.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["export-gates", "--out", "/dev/null"],
+    ["simulate", "--trials", "5", "--out", "/dev/null", "--log", "/dev/null"],
+], ids=["export-gates", "simulate"])
+def test_device_out_exits_0(tmp_path, argv):
+    # a character device is written, never truncated
+    assert main(argv[:1] + ["--config", _write_config(tmp_path)] + argv[1:]) == 0
+
+
+def test_directory_out_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    assert main(["export-gates", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error: cannot write" in capsys.readouterr().err
+
+
+def test_new_output_file_mode_follows_umask(tmp_path):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "gates.txt"
+    old = os.umask(0o027)
+    try:
+        assert main(["export-gates", "--config", cfg, "--out", str(out)]) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o666 & ~0o027
+
+
+def test_internal_error_mid_stream_leaves_a_partial_file(tmp_path, monkeypatch, capsys):
+    # the chunks written before the error stay, cut to their length
+    def failing(circuit, link_by_gate):
+        yield "LAYER 0 STAGE I X 0\n"
+        raise RuntimeError("renderer failed")
+
+    monkeypatch.setattr(cli, "gate_lines", failing)
+    out = tmp_path / "gates.txt"
+    out.write_text("old\n" * 1000)
+    assert main(["export-gates", "--config", _write_config(tmp_path), "--out", str(out)]) == 4
+    assert "internal error: renderer failed" in capsys.readouterr().err
+    assert out.read_text() == "LAYER 0 STAGE I X 0\n"
+
+
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--seed", "-1"]], ids=["trials", "seed"])
+def test_failed_simulate_creates_or_changes_no_log(tmp_path, capsys, argv):
+    cfg = _write_config(tmp_path)
+    new, old = tmp_path / "new.jsonl", tmp_path / "old.jsonl"
+    old.write_text("kept\n")
+    for log in (new, old):
+        assert main(["simulate", "--config", cfg, "--log", str(log)] + argv) == 3
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+
+
+def test_trial_log_is_written_block_by_block(tmp_path, monkeypatch):
+    # each block of the Monte Carlo stream reaches the file before the next
+    # is sampled, so the log never sits in memory whole
+    writes = []
+    real_write = cli._Output.write
+
+    def spy(self, text):
+        writes.append(text.count("\n"))
+        real_write(self, text)
+
+    monkeypatch.setattr(cli._Output, "write", spy)
+    cfg = _write_config(tmp_path)
+    log = tmp_path / "trials.jsonl"
+    trials = 2 * simulator._BLOCK + 40
+    assert main(["simulate", "--config", cfg, "--trials", str(trials), "--seed", "2",
+                 "--out", str(tmp_path / "r.json"), "--log", str(log)]) == 0
+    assert writes[:3] == [simulator._BLOCK, simulator._BLOCK, 40]
+    assert len(log.read_text().splitlines()) == trials
+
+
+def test_export_gates_holds_no_whole_gate_list(tmp_path, capsys):
+    # streamed, the export's traced peak stays within twice the written
+    # file of a report on the same instance: the circuit, not the text,
+    # sets both peaks
+    cfg = _write_config(tmp_path, params={"N": 1024, "lambda": 1024, "gamma": 1, "b": 2,
+                                          "readout": "ParallelMultiBit"})
+    out = tmp_path / "gates.txt"
+    peaks = []
+    for argv in (["report", "--config", cfg], ["export-gates", "--config", cfg, "--out", str(out)]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * out.stat().st_size
 
 
 def test_export_layout_multi_word_is_validation_error(tmp_path, capsys):

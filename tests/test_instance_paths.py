@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import scalar_reference
 from conftest import build_linear_router_round, lam_gamma_grid, random_table, workloads
-from qlut import builders
+from qlut import builders, ir
 from qlut.ir import CircuitBuilder, GateKind, Role, Stage, export_gate_list
 from qlut.layout import GridPlacement, build_schedule, classify_links, place_htree
 from qlut.params import DataTable, Readout, derive_params
@@ -83,6 +83,31 @@ def test_reference_matches_per_gate_reference(kind, N, data):
     table = DataTable(words=tuple(words), b=1)
     _assert_same_instance(builders.build_reference(kind, N, table),
                           scalar_reference.build(builders.build_reference, kind, N, table))
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 7, ir._CHUNK_LINES])
+def test_gate_lines_chunks_join_to_the_reference_export(monkeypatch, chunk_lines):
+    # chunks of at most _CHUNK_LINES whole lines, each long-range line
+    # rendered in its own chunk, on every N <= 16 shape; no gates, one line
+    monkeypatch.setattr(ir, "_CHUNK_LINES", chunk_lines)
+    circuits = [(CircuitBuilder().build(), None)]
+    for N, lam, gamma, b, readout in SHAPES:
+        if N <= 16:
+            params = derive_params(N, lam, gamma, b, readout)
+            words = tuple((a * 5 + 3) % (1 << b) for a in range(N))
+            circuits.append((builders.build_lookup(params, DataTable(words, b)), params.k))
+    with_links = 0
+    for circuit, k in circuits:
+        variants = [{}]
+        if circuit.meta.get("family") == "tree":
+            variants.append(classify_links(circuit, place_htree(circuit), free_levels=k)[1])
+        for by_gate in variants:
+            chunks = list(ir.gate_lines(circuit, by_gate))
+            assert all(0 < chunk.count("\n") <= chunk_lines and chunk.endswith("\n")
+                       for chunk in chunks)
+            assert "".join(chunks) == scalar_reference.export_gate_list(circuit, by_gate)
+            with_links += bool(by_gate)
+    assert with_links > 10
 
 
 KINDS_OF_ARITY = {1: [GateKind.X], 2: [GateKind.SWAP, GateKind.CNOT],
