@@ -12,7 +12,7 @@ from .costs import (
 )
 from .layout import (
     GridPlacement, LongRangeLink, Schedule, build_schedule, classify_links,
-    distillation_model, level_pitches, long_range_error, place_htree,
+    level_pitches, long_range_error, place_htree,
 )
 from .params import (
     ArchParams, DataTable, ErrorRates, Readout, Specialization, derive_params,

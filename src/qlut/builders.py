@@ -17,14 +17,18 @@ reversal (plus a verbatim Stage-II replay to clear the cells).
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
+from typing import Iterable, Iterator
 
 from .errors import InvalidParamsError
-from .ir import Circuit, CircuitBuilder, GateKind, Op, Role, RouterIds, Stage
+from .ir import Circuit, CircuitBuilder, GateKind, Op, QubitInfo, Role, RouterIds, Stage
 from .params import ArchParams, DataTable, Readout, address_bits, derive_params
 
 X = GateKind.X
 CNOT, SWAP, CSWAP, CCNOT, CC_X = (
     GateKind.CNOT, GateKind.SWAP, GateKind.CSWAP, GateKind.CCNOT, GateKind.CC_X)
+
+_new_tuple = tuple.__new__
 
 
 class ReferenceKind(str, Enum):
@@ -42,6 +46,14 @@ def _router_ops(r: RouterIds, reverse: bool = False) -> list[Op]:
         (CSWAP, (r.t, r.inp, r.right)),
     ]
     return ops[::-1] if reverse else ops
+
+
+def _qubit_infos(role: Role, level: int, positions: Iterable[int],
+                 word: int) -> Iterator[QubitInfo]:
+    """One ``QubitInfo`` per position, each copied straight from the tuple
+    ``zip`` reuses, so a qubit costs one allocation."""
+    return map(_new_tuple, repeat(QubitInfo), zip(repeat(role), repeat(level), positions,
+                                                  repeat(word)))
 
 
 class _LinearRouterSweep:
@@ -149,28 +161,33 @@ class _Assembler:
             b.registers["word_cells"] = tuple(q for row in self.regs for q in row)
 
     def _allocate_tree(self, w: int) -> None:
+        """Each tree level in one batch: router ``pos`` gets the ids
+        (t, in, left, right) from ``base + 4 * pos``; with gamma >= 2 the
+        leaf ports are the intermediate cells ``2 pos`` and ``2 pos + 1``."""
         b, p = self.b, self.p
         D = p.tree_depth
         for level in range(D):
-            for pos in range(1 << level):
-                t = b.new_qubit(Role.ROUTER_STATUS, level, pos, w)
-                inp = b.new_qubit(Role.ROUTER_INPUT, level, pos, w)
-                if level == D - 1 and p.gamma >= 2:
-                    left = b.new_qubit(Role.INTERMEDIATE, level, 2 * pos, w)
-                    right = b.new_qubit(Role.INTERMEDIATE, level, 2 * pos + 1, w)
-                else:
-                    left = b.new_qubit(Role.ROUTER_LEFT, level, pos, w)
-                    right = b.new_qubit(Role.ROUTER_RIGHT, level, pos, w)
-                b.routers[(level, pos, w)] = RouterIds(t, inp, left, right)
+            # one int object per position, shared by its qubits and router key
+            at = list(range(1 << level))
+            infos = [None] * (4 * len(at))
+            infos[0::4] = _qubit_infos(Role.ROUTER_STATUS, level, at, w)
+            infos[1::4] = _qubit_infos(Role.ROUTER_INPUT, level, at, w)
+            if level == D - 1 and p.gamma >= 2:
+                infos[2::4] = _qubit_infos(Role.INTERMEDIATE, level, range(0, 2 * len(at), 2), w)
+                infos[3::4] = _qubit_infos(Role.INTERMEDIATE, level, range(1, 2 * len(at), 2), w)
+            else:
+                infos[2::4] = _qubit_infos(Role.ROUTER_LEFT, level, at, w)
+                infos[3::4] = _qubit_infos(Role.ROUTER_RIGHT, level, at, w)
+            routers = [RouterIds(q, q + 1, q + 2, q + 3) for q in b.new_qubits(infos)[::4]]
+            b.routers.update(zip(zip(repeat(level), at, repeat(w)), routers))
         if D == 0:
             self.cells[w] = (b.new_qubit(Role.INTERMEDIATE, pos=0, word=w),)
         elif p.gamma >= 2:
-            self.cells[w] = tuple(
-                self._port(D - 1, j >> 1, w, j & 1) for j in range(p.lam))
+            # the last level's ports, left then right
+            self.cells[w] = tuple(q for r in routers for q in (r.left, r.right))
         else:
-            self.cells[w] = tuple(
-                b.new_qubit(Role.INTERMEDIATE, level=D, pos=j, word=w)
-                for j in range(p.lam))
+            self.cells[w] = tuple(b.new_qubits(
+                list(_qubit_infos(Role.INTERMEDIATE, D, range(p.lam), w))))
 
     def router(self, level: int, pos: int, w: int = 0) -> RouterIds:
         return self.b.routers[(level, pos, w)]

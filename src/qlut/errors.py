@@ -25,10 +25,6 @@ class PlacementOverflowError(QlutError):
     """Internal layout inconsistency: two qubits assigned the same grid point."""
 
 
-class InitialErrorTooLargeError(QlutError):
-    """Bell-pair initial error >= 1; distillation model undefined."""
-
-
 class DegenerateInputError(QlutError):
     """Not enough data (or non-positive values) for an exponent fit."""
 

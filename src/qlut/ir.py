@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, groupby
+from itertools import chain, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -197,6 +197,13 @@ class CircuitBuilder:
         self._frontier.append(0)
         return len(self.qubits) - 1
 
+    def new_qubits(self, infos: list[QubitInfo]) -> range:
+        """Allocate one qubit per ``QubitInfo``, in order; their ids."""
+        base = len(self.qubits)
+        self.qubits += infos
+        self._frontier += repeat(0, len(infos))
+        return range(base, len(self.qubits))
+
     def new_register(self, name: str, role: Role, count: int, **kw) -> tuple[int, ...]:
         ids = tuple(self.new_qubit(role, pos=i, **kw) for i in range(count))
         self.registers[name] = ids
@@ -229,7 +236,11 @@ class CircuitBuilder:
                 a, b, c = qubits
                 if a == b or a == c or b == c:
                     raise ValueError(f"duplicate operand in {kind}: {qubits}")
-                layer = max(frontier[a], frontier[b], frontier[c])
+                layer = frontier[a]
+                if frontier[b] > layer:
+                    layer = frontier[b]
+                if frontier[c] > layer:
+                    layer = frontier[c]
                 frontier[a] = frontier[b] = frontier[c] = layer + 1
             else:
                 if len(set(qubits)) != n:

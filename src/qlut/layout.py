@@ -4,7 +4,7 @@ Routers are placed by recursive bisection in the H-tree fractal pattern:
 the root quadruple sits at the center with its T-shape opening toward the
 I/O cluster, children alternate splitting axis, and displacement magnitudes
 shrink as the recursion descends. Inter-level transfers become long-range
-links whose length feeds the GHZ/distillation error models.
+links whose length feeds the long-range error model.
 
 Coordinates are (row, col); `row` grows upward to match the reference
 diagrams. The depth-4 tree reproduces the published 16-location layout
@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InitialErrorTooLargeError, InvalidParamsError, PlacementOverflowError
+from .errors import InvalidParamsError, PlacementOverflowError
 from .ir import Circuit, GateKind, Role
 from .params import ErrorRates
 
@@ -30,14 +30,6 @@ _new_tuple = tuple.__new__
 
 # directions as (dx, dy); rotating left = toward the "left" output port
 _N, _E, _S, _W = (0, 1), (1, 0), (0, -1), (-1, 0)
-
-
-def _ccw(d: tuple[int, int]) -> tuple[int, int]:
-    return (-d[1], d[0])
-
-
-def _neg(d: tuple[int, int]) -> tuple[int, int]:
-    return (-d[0], -d[1])
 
 
 class LinkResource(str, Enum):
@@ -127,18 +119,6 @@ class _Placer:
                 return
         raise PlacementOverflowError(f"no free cell near {candidates[0]} for qubit {qubit}")
 
-    def reserve_free_between(self, a: tuple[int, int], b: tuple[int, int]) -> None:
-        """Reserve the straight chain cells between two points where free."""
-        (ax, ay), (bx, by) = a, b
-        cells: list[tuple[int, int]] = []
-        if ax == bx:
-            cells = [(ax, y) for y in range(min(ay, by) + 1, max(ay, by))]
-        elif ay == by:
-            cells = [(x, ay) for x in range(min(ax, bx) + 1, max(ax, bx))]
-        for xy in cells:
-            if xy not in self.taken:
-                self.reserved.add(xy)
-
 
 def _up_ladder(xy: tuple[int, int], tries: int = 24) -> list[tuple[int, int]]:
     x, y = xy
@@ -201,106 +181,115 @@ def _place_strip(pl: _Placer, circuit: Circuit, top_y: int, cx: int) -> None:
 
 
 def place_htree(circuit: Circuit) -> GridPlacement:
-    """Grid placement for single-word tree circuits (unified or reference)."""
+    """Grid placement for single-word tree circuits (unified or reference).
+
+    The tree is walked one level at a time, from the lists of the level's
+    router centers and to-parent directions in router order.
+    """
     if circuit.meta.get("family") not in ("tree", "select_swap"):
         raise InvalidParamsError(
             "planar placement covers single-word tree circuits")
     p = circuit.params
     D = p.tree_depth
     pl = _Placer()
-    disp = _tree_displacements(D)
+    pos, taken, reserved = pl.pos, pl.taken, pl.reserved
+    tree = [[circuit.routers[(level, j, 0)] for j in range(1 << level)]
+            for level in range(D)]
 
-    # pass 1: rigid router centers and orientations (these carry the geometry)
-    to_parent: dict[tuple[int, int], tuple[int, int]] = {}
-    centers: dict[tuple[int, int], tuple[int, int]] = {}
-    if D > 0:
-        centers[(0, 0)] = (0, 0)
-        to_parent[(0, 0)] = _N
-        for level in range(D - 1):
-            neg_mag, pos_mag = disp[level]
-            for pos in range(1 << level):
-                c = centers[(level, pos)]
-                tp = to_parent[(level, pos)]
-                ldir, rdir = _ccw(tp), _neg(_ccw(tp))
-                for dirn, child in ((ldir, 2 * pos), (rdir, 2 * pos + 1)):
-                    mag = pos_mag if (dirn[0] + dirn[1]) > 0 else neg_mag
-                    centers[(level + 1, child)] = (c[0] + dirn[0] * mag,
-                                                   c[1] + dirn[1] * mag)
-                    to_parent[(level + 1, child)] = _neg(dirn)
-        anchor = centers[(0, 0)]
-    else:
-        anchor = (0, 0)
+    # pass 1: rigid router centers and orientations (these carry the geometry);
+    # a router facing its parent along tp has its left child along ccw(tp)
+    centers, to_parent = ([[(0, 0)]], [[_N]]) if D else ([], [])
+    for neg_mag, pos_mag in _tree_displacements(D):
+        cs, tps = [], []
+        for (cx, cy), (tx, ty) in zip(centers[-1], to_parent[-1]):
+            for dx, dy in ((-ty, tx), (ty, -tx)):
+                mag = pos_mag if dx + dy > 0 else neg_mag
+                cs.append((cx + dx * mag, cy + dy * mag))
+                tps.append((-dx, -dy))
+        centers.append(cs)
+        to_parent.append(tps)
 
     # pass 2: quadruples (ports face their children; t points away from the
     # parent; contested spots fall back to free neighbors of the in qubit),
-    # then the I/O cluster, whose preferred spots follow the figure
-    for level in range(D):
-        for pos in range(1 << level):
-            c = centers[(level, pos)]
-            tp = to_parent[(level, pos)]
-            r = circuit.routers[(level, pos, 0)]
-            ldir, rdir = _ccw(tp), _neg(_ccw(tp))
-            away = (c[0] - tp[0], c[1] - tp[1])
-            lpref = (c[0] + ldir[0], c[1] + ldir[1])
-            rpref = (c[0] + rdir[0], c[1] + rdir[1])
-            toward = (c[0] + tp[0], c[1] + tp[1])
-            pl.put(r.inp, c)
-            pl.put_near(r.left, [lpref, away, toward])
-            pl.put_near(r.right, [rpref, away, toward])
-            pl.put_near(r.t, [away, lpref, rpref, toward])
-    _place_cluster(pl, circuit, anchor)
+    # then the I/O cluster, whose preferred spots follow the figure; nothing
+    # is reserved yet, so a cell is free when it is not taken
+    for cs, tps, routers in zip(centers, to_parent, tree):
+        for c, (tx, ty), r in zip(cs, tps, routers):
+            cx, cy = c
+            lpref, rpref = (cx - ty, cy + tx), (cx + ty, cy - tx)
+            away, toward = (cx - tx, cy - ty), (cx + tx, cy + ty)
+            if c in taken:
+                raise PlacementOverflowError(f"qubits {taken[c]} and {r.inp} both at {c}")
+            taken[c], pos[r.inp] = r.inp, c
+            for q, candidates in ((r.left, (lpref, away, toward)),
+                                  (r.right, (rpref, away, toward)),
+                                  (r.t, (away, lpref, rpref, toward))):
+                for xy in candidates:
+                    if xy not in taken:
+                        break
+                else:
+                    raise PlacementOverflowError(
+                        f"no free cell near {candidates[0]} for qubit {q}")
+                taken[xy], pos[q] = q, xy
+    _place_cluster(pl, circuit, (0, 0))
 
-    # pass 3: best-effort GHZ-chain reservation along free straight segments
-    for (level, pos), c in centers.items():
-        if level == D - 1 or D == 0:
-            continue
-        r = circuit.routers[(level, pos, 0)]
-        for port, child in ((r.left, 2 * pos), (r.right, 2 * pos + 1)):
-            pl.reserve_free_between(pl.pos[port], centers[(level + 1, child)])
+    # pass 3: best-effort GHZ-chain reservation along the free straight
+    # segments between each port and its child's center
+    for routers, kids in zip(tree, centers[1:]):
+        kids = iter(kids)
+        for r in routers:
+            for port, (bx, by) in zip((r.left, r.right), kids):
+                ax, ay = pos[port]
+                if ax == bx:
+                    for y in range(ay + 1, by) if ay < by else range(by + 1, ay):
+                        if (ax, y) not in taken:
+                            reserved.add((ax, y))
+                elif ay == by:
+                    for x in range(ax + 1, bx) if ax < bx else range(bx + 1, ax):
+                        if (x, ay) not in taken:
+                            reserved.add((x, ay))
 
     # memory cells at leaf ports (separate qubits only when gamma = 1)
     if D == 0:
         pl.put_near(circuit.reg("cells")[0], [(0, 0), (-1, 0), (1, 0)])
     elif p.gamma == 1:
         for j, cell in enumerate(circuit.reg("cells")):
-            r = circuit.routers[(D - 1, j >> 1, 0)]
-            port = r.right if j & 1 else r.left
-            px, py = pl.pos[port]
-            ix, iy = pl.pos[r.inp]
-            dirn = (px - ix, py - iy)
-            perp = _ccw(dirn)
-            straight = (px + dirn[0], py + dirn[1])
-            sideways = [(px + perp[0], py + perp[1]), (px - perp[0], py - perp[1])]
+            r = tree[-1][j >> 1]
+            px, py = pos[r.right if j & 1 else r.left]
+            ix, iy = pos[r.inp]
+            dx, dy = px - ix, py - iy     # outward from the router
+            ux, uy = -dy, dx              # ccw of it
+            straight = (px + dx, py + dy)
+            sideways = ((px + ux, py + uy), (px - ux, py - uy))
             # single-router trees keep cells beside the ports (4x4 toy grid)
-            ladder = sideways + [straight] if D == 1 else [straight] + sideways
+            ladder = (*sideways, straight) if D == 1 else (straight, *sideways)
             # distance-2 fallbacks: the load is then a flagged long-range CNOT
-            ladder += [(px + 2 * dirn[0], py + 2 * dirn[1]),
-                       (px + dirn[0] + perp[0], py + dirn[1] + perp[1]),
-                       (px + dirn[0] - perp[0], py + dirn[1] - perp[1]),
-                       (px + 2 * perp[0], py + 2 * perp[1]),
-                       (px - 2 * perp[0], py - 2 * perp[1])]
-            pl.put_near(cell, ladder)
+            ladder += ((px + 2 * dx, py + 2 * dy), (px + dx + ux, py + dy + uy),
+                       (px + dx - ux, py + dy - uy), (px + 2 * ux, py + 2 * uy),
+                       (px - 2 * ux, py - 2 * uy))
+            for xy in ladder:
+                if xy not in taken and xy not in reserved:
+                    break
+            else:
+                raise PlacementOverflowError(
+                    f"no free cell near {ladder[0]} for qubit {cell}")
+            taken[xy], pos[cell] = cell, xy
     if "select_nodes" in circuit.registers:
         for node, cell in zip(circuit.reg("select_nodes"), circuit.reg("cells")):
-            cxy = pl.pos[cell]
+            cxy = pos[cell]
             pl.put_near(node, [(cxy[0] + d[0], cxy[1] + d[1])
                                for d in (_N, _S, _E, _W,
                                          (1, 1), (-1, 1), (1, -1), (-1, -1))])
-    top_y = max(y for _, y in pl.pos.values())
-    _place_strip(pl, circuit, top_y, anchor[0])
+    _place_strip(pl, circuit, max(map(itemgetter(1), pos.values())), 0)
 
     # shift content to col >= 1 (spare margin column, matching the figures)
-    min_x = min(x for x, _ in pl.pos.values())
-    min_y = min(y for _, y in pl.pos.values())
-    dx, dy = 1 - min_x, -min_y
-    coords = {q: (y + dy, x + dx) for q, (x, y) in pl.pos.items()}
-    reserved = {(y + dy, x + dx) for (x, y) in pl.reserved}
-    max_col = max(c for _, c in coords.values())
-    max_row = max(r for r, _ in coords.values())
+    xs, ys = zip(*pos.values())
+    col, row = 1 - min(xs), -min(ys)
+    coords = {q: (y + row, x + col) for q, (x, y) in pos.items()}
     if len(set(coords.values())) != len(coords):
         raise PlacementOverflowError("placement is not injective")
-    return GridPlacement(coords=coords, bounds=(max_col + 2, max_row + 1),
-                         reserved=reserved)
+    return GridPlacement(coords=coords, bounds=(max(xs) + col + 2, max(ys) + row + 1),
+                         reserved={(y + row, x + col) for x, y in reserved})
 
 
 def _grid_arrays(placement: GridPlacement, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -397,34 +386,6 @@ def long_range_error(link: LongRangeLink, rates: ErrorRates) -> float:
     if link.resource == LinkResource.GHZ.value and rates.eps_l is None:
         return min(link.m * rates.eps_q, 1.0)
     return rates.long_range(link.m)
-
-
-@dataclass(frozen=True)
-class DistillationModel:
-    code_distance: int
-    pairs_consumed: int
-    depth_overhead: int
-    eps_f: float
-
-
-def distillation_model(m: int, eps_q: float, c1: float = 1.0) -> DistillationModel:
-    """Distance, pair count, depth, and residual error of Bell distillation.
-
-    Instantiates the d = O(log m) code-distance bound with the configurable
-    constant c1; pairs scale as d^2 and the residual error as eps_i^d.
-    """
-    eps_i = m * eps_q
-    if eps_i >= 1.0:
-        raise InitialErrorTooLargeError(f"initial Bell error {eps_i} >= 1")
-    d_hat = max(1, math.ceil(c1 * math.log2(max(m, 2))))
-    if m == 1:
-        d_hat = 1
-    return DistillationModel(
-        code_distance=d_hat,
-        pairs_consumed=d_hat * d_hat,
-        depth_overhead=d_hat,
-        eps_f=eps_i ** d_hat,
-    )
 
 
 @dataclass

@@ -11,7 +11,9 @@ query's overlap over all four phases, where the exhaustive analyses query
 one X lane per class of equivalent single faults and read X, Y and Z's
 superposition verdicts off one Y per class.
 The per-gate loops are the ones the array-speed instance pipeline replaces:
-``emit`` one gate at a time with op lists rebuilt per repetition, link
+``emit`` one gate at a time with op lists rebuilt per repetition and one
+``new_qubit`` call per qubit, the H-tree placement through dicts keyed by
+(level, pos) and one ``_Placer`` call per cell, link
 classification through ``GridPlacement.distance`` per operand pair, the
 schedule walk over per-qubit dicts, and the gate-list export with one
 join per gate. ``trial_log`` writes the trial log with ``json.dumps``.
@@ -27,8 +29,9 @@ from unittest import mock
 import numpy as np
 
 from conftest import trial_outcome_ok
-from qlut import builders, simulator
-from qlut.ir import Circuit, CircuitBuilder, Gate, GateKind, Role, Stage
+from qlut import builders, layout, simulator
+from qlut.errors import InvalidParamsError, PlacementOverflowError
+from qlut.ir import Circuit, CircuitBuilder, Gate, GateKind, Role, RouterIds, Stage
 from qlut.layout import (
     GridPlacement, LinkResource, LongRangeLink, Schedule, long_range_error,
 )
@@ -360,7 +363,32 @@ class ScalarCircuitBuilder(CircuitBuilder):
 
 
 class ScalarAssembler(builders._Assembler):
-    """The op lists rebuilt for every repetition and every level."""
+    """One ``new_qubit`` call per allocated qubit, and the op lists rebuilt
+    for every repetition and every level."""
+
+    def _allocate_tree(self, w):
+        b, p = self.b, self.p
+        D = p.tree_depth
+        for level in range(D):
+            for pos in range(1 << level):
+                t = b.new_qubit(Role.ROUTER_STATUS, level, pos, w)
+                inp = b.new_qubit(Role.ROUTER_INPUT, level, pos, w)
+                if level == D - 1 and p.gamma >= 2:
+                    left = b.new_qubit(Role.INTERMEDIATE, level, 2 * pos, w)
+                    right = b.new_qubit(Role.INTERMEDIATE, level, 2 * pos + 1, w)
+                else:
+                    left = b.new_qubit(Role.ROUTER_LEFT, level, pos, w)
+                    right = b.new_qubit(Role.ROUTER_RIGHT, level, pos, w)
+                b.routers[(level, pos, w)] = RouterIds(t, inp, left, right)
+        if D == 0:
+            self.cells[w] = (b.new_qubit(Role.INTERMEDIATE, pos=0, word=w),)
+        elif p.gamma >= 2:
+            self.cells[w] = tuple(
+                self._port(D - 1, j >> 1, w, j & 1) for j in range(p.lam))
+        else:
+            self.cells[w] = tuple(
+                b.new_qubit(Role.INTERMEDIATE, level=D, pos=j, word=w)
+                for j in range(p.lam))
 
     def _layer_ops(self, level, w):
         ops = []
@@ -525,3 +553,128 @@ def export_gate_list(circuit: Circuit, link_by_gate=None) -> str:
         ids = " ".join(str(q) for q in g.qubits)
         lines.append(f"LAYER {g.layer} STAGE {g.stage} {kind.value} {ids}{suffix}")
     return "\n".join(lines) + "\n"
+
+
+def _ccw(d: tuple[int, int]) -> tuple[int, int]:
+    return (-d[1], d[0])
+
+
+def _neg(d: tuple[int, int]) -> tuple[int, int]:
+    return (-d[0], -d[1])
+
+
+def reserve_free_between(pl, a: tuple[int, int], b: tuple[int, int]) -> None:
+    """Reserve the straight chain cells between two points where free."""
+    (ax, ay), (bx, by) = a, b
+    cells: list[tuple[int, int]] = []
+    if ax == bx:
+        cells = [(ax, y) for y in range(min(ay, by) + 1, max(ay, by))]
+    elif ay == by:
+        cells = [(x, ay) for x in range(min(ax, bx) + 1, max(ax, bx))]
+    for xy in cells:
+        if xy not in pl.taken:
+            pl.reserved.add(xy)
+
+
+def place_htree(circuit: Circuit) -> GridPlacement:
+    """Router centers and directions in dicts keyed by (level, pos), and one
+    ``_Placer`` method call per placed qubit and per reserved segment."""
+    if circuit.meta.get("family") not in ("tree", "select_swap"):
+        raise InvalidParamsError(
+            "planar placement covers single-word tree circuits")
+    p = circuit.params
+    D = p.tree_depth
+    pl = layout._Placer()
+    disp = layout._tree_displacements(D)
+
+    # pass 1: rigid router centers and orientations (these carry the geometry)
+    to_parent: dict[tuple[int, int], tuple[int, int]] = {}
+    centers: dict[tuple[int, int], tuple[int, int]] = {}
+    if D > 0:
+        centers[(0, 0)] = (0, 0)
+        to_parent[(0, 0)] = layout._N
+        for level in range(D - 1):
+            neg_mag, pos_mag = disp[level]
+            for pos in range(1 << level):
+                c = centers[(level, pos)]
+                tp = to_parent[(level, pos)]
+                ldir, rdir = _ccw(tp), _neg(_ccw(tp))
+                for dirn, child in ((ldir, 2 * pos), (rdir, 2 * pos + 1)):
+                    mag = pos_mag if (dirn[0] + dirn[1]) > 0 else neg_mag
+                    centers[(level + 1, child)] = (c[0] + dirn[0] * mag,
+                                                   c[1] + dirn[1] * mag)
+                    to_parent[(level + 1, child)] = _neg(dirn)
+        anchor = centers[(0, 0)]
+    else:
+        anchor = (0, 0)
+
+    # pass 2: quadruples (ports face their children; t points away from the
+    # parent; contested spots fall back to free neighbors of the in qubit),
+    # then the I/O cluster, whose preferred spots follow the figure
+    for level in range(D):
+        for pos in range(1 << level):
+            c = centers[(level, pos)]
+            tp = to_parent[(level, pos)]
+            r = circuit.routers[(level, pos, 0)]
+            ldir, rdir = _ccw(tp), _neg(_ccw(tp))
+            away = (c[0] - tp[0], c[1] - tp[1])
+            lpref = (c[0] + ldir[0], c[1] + ldir[1])
+            rpref = (c[0] + rdir[0], c[1] + rdir[1])
+            toward = (c[0] + tp[0], c[1] + tp[1])
+            pl.put(r.inp, c)
+            pl.put_near(r.left, [lpref, away, toward])
+            pl.put_near(r.right, [rpref, away, toward])
+            pl.put_near(r.t, [away, lpref, rpref, toward])
+    layout._place_cluster(pl, circuit, anchor)
+
+    # pass 3: best-effort GHZ-chain reservation along free straight segments
+    for (level, pos), c in centers.items():
+        if level == D - 1 or D == 0:
+            continue
+        r = circuit.routers[(level, pos, 0)]
+        for port, child in ((r.left, 2 * pos), (r.right, 2 * pos + 1)):
+            reserve_free_between(pl, pl.pos[port], centers[(level + 1, child)])
+
+    # memory cells at leaf ports (separate qubits only when gamma = 1)
+    if D == 0:
+        pl.put_near(circuit.reg("cells")[0], [(0, 0), (-1, 0), (1, 0)])
+    elif p.gamma == 1:
+        for j, cell in enumerate(circuit.reg("cells")):
+            r = circuit.routers[(D - 1, j >> 1, 0)]
+            port = r.right if j & 1 else r.left
+            px, py = pl.pos[port]
+            ix, iy = pl.pos[r.inp]
+            dirn = (px - ix, py - iy)
+            perp = _ccw(dirn)
+            straight = (px + dirn[0], py + dirn[1])
+            sideways = [(px + perp[0], py + perp[1]), (px - perp[0], py - perp[1])]
+            # single-router trees keep cells beside the ports (4x4 toy grid)
+            ladder = sideways + [straight] if D == 1 else [straight] + sideways
+            # distance-2 fallbacks: the load is then a flagged long-range CNOT
+            ladder += [(px + 2 * dirn[0], py + 2 * dirn[1]),
+                       (px + dirn[0] + perp[0], py + dirn[1] + perp[1]),
+                       (px + dirn[0] - perp[0], py + dirn[1] - perp[1]),
+                       (px + 2 * perp[0], py + 2 * perp[1]),
+                       (px - 2 * perp[0], py - 2 * perp[1])]
+            pl.put_near(cell, ladder)
+    if "select_nodes" in circuit.registers:
+        for node, cell in zip(circuit.reg("select_nodes"), circuit.reg("cells")):
+            cxy = pl.pos[cell]
+            pl.put_near(node, [(cxy[0] + d[0], cxy[1] + d[1])
+                               for d in (layout._N, layout._S, layout._E, layout._W,
+                                         (1, 1), (-1, 1), (1, -1), (-1, -1))])
+    top_y = max(y for _, y in pl.pos.values())
+    layout._place_strip(pl, circuit, top_y, anchor[0])
+
+    # shift content to col >= 1 (spare margin column, matching the figures)
+    min_x = min(x for x, _ in pl.pos.values())
+    min_y = min(y for _, y in pl.pos.values())
+    dx, dy = 1 - min_x, -min_y
+    coords = {q: (y + dy, x + dx) for q, (x, y) in pl.pos.items()}
+    reserved = {(y + dy, x + dx) for (x, y) in pl.reserved}
+    max_col = max(c for _, c in coords.values())
+    max_row = max(r for r, _ in coords.values())
+    if len(set(coords.values())) != len(coords):
+        raise PlacementOverflowError("placement is not injective")
+    return GridPlacement(coords=coords, bounds=(max_col + 2, max_row + 1),
+                         reserved=reserved)

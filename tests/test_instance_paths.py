@@ -7,6 +7,9 @@ give, on every shape with N <= 64 and on the three reference
 architectures. The schedule, which reads start times off the builder's
 layers, is also compared on N = 512 and 1024 trees, and those layers are
 checked to be the ASAP layers of the gate order at benchmark sizes.
+The H-tree placement is compared with its per-cell reference on every
+N <= 64 shape, on deep lambda = N trees and on the three reference
+architectures up to N = 256.
 """
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 import scalar_reference
 from conftest import build_linear_router_round, lam_gamma_grid, random_table, workloads
 from qlut import builders, ir
+from qlut.errors import PlacementOverflowError
 from qlut.ir import CircuitBuilder, GateKind, Role, Stage, export_gate_list
 from qlut.layout import GridPlacement, build_schedule, classify_links, place_htree
 from qlut.params import DataTable, Readout, derive_params
@@ -28,6 +32,11 @@ SHAPES = [(N, lam, gamma, b, readout)
           for b, readout in WORDS]
 REFERENCES = [(kind, N) for kind in ("BucketBrigade", "FanOut", "SelectSwap")
               for N in (2, 4, 8, 16, 32, 64)]
+PLACED_SHAPES = ([(N, lam, gamma, 1, "SingleBit")
+                  for N in (1, 2, 4, 8, 16, 32, 64) for lam, gamma in lam_gamma_grid(N)]
+                 + [(N, N, gamma, 1, "SingleBit")
+                    for N in (128, 256, 512, 1024, 2048, 4096) for gamma in (1, 2)]
+                 + [shape for shape in BENCH_SHAPES if shape[3] == 1])
 
 
 def _assert_same_schedule(got, want):
@@ -83,6 +92,40 @@ def test_reference_matches_per_gate_reference(kind, N, data):
     table = DataTable(words=tuple(words), b=1)
     _assert_same_instance(builders.build_reference(kind, N, table),
                           scalar_reference.build(builders.build_reference, kind, N, table))
+
+
+def _assert_same_placement(circuit) -> bool:
+    """Same coords in the same order, bounds and reserved cells, or the same
+    PlacementOverflowError; whether the circuit was placed."""
+    try:
+        want = scalar_reference.place_htree(circuit)
+    except PlacementOverflowError as exc:
+        with pytest.raises(PlacementOverflowError) as got:
+            place_htree(circuit)
+        assert str(got.value) == str(exc)
+        return False
+    got = place_htree(circuit)
+    assert list(got.coords.items()) == list(want.coords.items())
+    assert got.bounds == want.bounds and got.reserved == want.reserved
+    return True
+
+
+@pytest.mark.parametrize("shape", PLACED_SHAPES, ids=workloads.shape_key)
+def test_placement_matches_per_cell_reference(shape):
+    N, lam, gamma, b, readout = shape
+    table = DataTable(words=tuple(workloads.table_words(N, b, "report")), b=b)
+    params = derive_params(N, lam, gamma, b, Readout(readout))
+    assert _assert_same_placement(builders.build_lookup(params, table))
+
+
+@pytest.mark.parametrize("kind", ["BucketBrigade", "FanOut", "SelectSwap"])
+def test_reference_placement_matches_per_cell_reference(kind):
+    # SelectSwap's cells and nodes overflow the leaf ports from N = 128 on
+    placed = []
+    for N in (2, 4, 8, 16, 32, 64, 128, 256):
+        table = DataTable(words=tuple(a % 3 & 1 for a in range(N)), b=1)
+        placed.append(_assert_same_placement(builders.build_reference(kind, N, table)))
+    assert placed == ([True] * 6 + [False] * 2 if kind == "SelectSwap" else [True] * 8)
 
 
 @pytest.mark.parametrize("chunk_lines", [1, 7, ir._CHUNK_LINES])

@@ -6,11 +6,11 @@ import pytest
 
 from conftest import random_table
 from qlut.builders import build_reference, build_unified_lookup
-from qlut.errors import InitialErrorTooLargeError, InvalidParamsError
+from qlut.errors import InvalidParamsError
 from qlut.ir import Role
 from qlut.layout import (
-    LongRangeLink, build_schedule, classify_links, distillation_model,
-    level_pitches, long_range_error, place_htree,
+    LongRangeLink, build_schedule, classify_links, level_pitches,
+    long_range_error, place_htree,
 )
 from qlut.params import DataTable, ErrorRates, derive_params
 
@@ -143,23 +143,6 @@ def test_long_range_error_monotone_capped(rng):
         bigger = LongRangeLink(0, 0, 1, m=m + 7, level=0, resource="DistilledBell")
         assert long_range_error(bigger, rates) >= got - 1e-15
         assert got <= eps_f + 1e-15
-
-
-def test_distillation_model_examples():
-    model = distillation_model(16, 0.01)
-    assert model.code_distance == 4
-    assert model.pairs_consumed == 16
-    assert model.eps_f == pytest.approx(0.16 ** 4)
-    with pytest.raises(InitialErrorTooLargeError):
-        distillation_model(200, 0.01)
-    # doubling m raises the distance by at most one
-    for m in (2, 4, 8, 32):
-        d1 = distillation_model(m, 1e-4).code_distance
-        d2 = distillation_model(2 * m, 1e-4).code_distance
-        assert 0 <= d2 - d1 <= 1
-    # eps_f decreases monotonically as the initial error shrinks
-    fs = [distillation_model(8, q).eps_f for q in (1e-2, 1e-3, 1e-4)]
-    assert fs == sorted(fs, reverse=True)
 
 
 def test_schedule_crossings_and_tau():
