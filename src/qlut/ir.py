@@ -7,14 +7,16 @@ plain ``(kind, qubits, layer, stage, rep)`` row (``Circuit.rows``), in
 first use. Circuits are frozen after build and safe to share across
 threads, and each computes its read-only numpy view, ``Circuit.gate_arrays``,
 once, on first use. The view's columns per gate (kind, arity, layer,
-operands) are what the layout and simulator read in place of the rows.
+operands, and each gate's index into the distinct operand tuples) are what
+the layout and simulator read in place of the rows.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain, groupby, repeat
+from itertools import chain, count, groupby, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
@@ -98,54 +100,100 @@ class RouterIds:
 _KIND_INDEX = {kind: i for i, kind in enumerate(GateKind)}
 
 
-class GateArrays:
-    """A circuit's gates and table as read-only numpy arrays.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
 
-    Per gate its ``arity``, ``layer`` and ``start``, the offset of its first
-    operand in ``qubit`` (every gate's operands in gate order); ``words`` is
-    the table as int64, empty without one. ``kind``, ``operands`` and
-    ``touches`` are built on first use.
+
+class GateArrays:
+    """A circuit's gates and table as read-only numpy arrays, each column
+    built on first use.
+
+    The builders replay the same op lists, so a circuit holds far fewer
+    distinct operand tuples than gates. ``op`` gives each gate's index into
+    ``distinct``, those tuples in first-seen order, padded with -1; a
+    gate's ``arity``, ``start`` (the offset of its first operand in
+    ``qubit``, every gate's operands in gate order) and ``operands`` are
+    gathered from the two. Per gate also its ``layer`` and ``kind``, and per
+    qubit its timeline ``touches``; ``words`` is the table as int64, empty
+    without one.
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        rows, operands, table = circuit.rows, itemgetter(1), circuit.table
-        self.arity = np.fromiter(map(len, map(operands, rows)), np.intp, len(rows))
-        self.layer = np.fromiter(map(itemgetter(2), rows), np.intp, len(rows))
-        self.start = np.cumsum(self.arity) - self.arity
-        self.qubit = np.fromiter(chain.from_iterable(map(operands, rows)), np.intp,
-                                 int(self.arity.sum()))
-        self.words = np.asarray(() if table is None else table.words, dtype=np.int64)
-        for a in vars(self).values():
-            a.flags.writeable = False
-        self._rows = rows
+        self._rows, self._table = circuit.rows, circuit.table
+
+    @cached_property
+    def _interned(self) -> tuple[np.ndarray, np.ndarray]:
+        """``op`` and ``distinct``, from one pass over the rows."""
+        rows = self._rows
+        # one C-level pass: each new operand tuple takes the next index
+        index: defaultdict[tuple[int, ...], int] = defaultdict(count().__next__)
+        op = np.fromiter(map(index.__getitem__, map(itemgetter(1), rows)), np.intp, len(rows))
+        arity = np.fromiter(map(len, index), np.intp, len(index))
+        distinct = np.full((len(index), int(arity.max(initial=1))), -1, np.intp)
+        distinct[np.arange(distinct.shape[1]) < arity[:, None]] = np.fromiter(
+            chain.from_iterable(index), np.intp, int(arity.sum()))
+        return _frozen(op), _frozen(distinct)
+
+    @property
+    def op(self) -> np.ndarray:
+        """Each gate's operand tuple as its row in ``distinct``."""
+        return self._interned[0]
+
+    @property
+    def distinct(self) -> np.ndarray:
+        """The distinct operand tuples, one per row in first-seen order,
+        padded with -1 to the largest arity (width at least 1)."""
+        return self._interned[1]
+
+    @cached_property
+    def arity(self) -> np.ndarray:
+        """Each gate's number of operands."""
+        return _frozen(np.count_nonzero(self.distinct >= 0, axis=1)[self.op])
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        """The offset of each gate's first operand in ``qubit``."""
+        return _frozen(np.cumsum(self.arity) - self.arity)
+
+    @cached_property
+    def operands(self) -> np.ndarray:
+        """Gate i's operands in row i, padded as ``distinct``."""
+        return _frozen(self.distinct[self.op])
+
+    @cached_property
+    def qubit(self) -> np.ndarray:
+        """Every gate's operands, in gate order."""
+        operands = self.operands
+        return _frozen(operands[operands >= 0])
+
+    @cached_property
+    def layer(self) -> np.ndarray:
+        """Each gate's layer."""
+        rows = self._rows
+        return _frozen(np.fromiter(map(itemgetter(2), rows), np.intp, len(rows)))
 
     @cached_property
     def kind(self) -> np.ndarray:
         """Each gate's kind as its index in ``tuple(GateKind)``."""
-        kinds = map(itemgetter(0), self._rows)
-        kind = np.fromiter(map(_KIND_INDEX.__getitem__, kinds), np.intp, len(self.arity))
-        kind.flags.writeable = False
-        return kind
-
-    @cached_property
-    def operands(self) -> np.ndarray:
-        """Gate i's operands in row i, padded with -1 to the largest arity
-        (width at least 1)."""
-        gate = np.repeat(np.arange(len(self.arity)), self.arity)
-        operands = np.full((len(self.arity), int(self.arity.max(initial=1))), -1, np.intp)
-        operands[gate, np.arange(len(self.qubit)) - self.start[gate]] = self.qubit
-        operands.flags.writeable = False
-        return operands
+        rows = self._rows
+        kinds = map(itemgetter(0), rows)
+        return _frozen(np.fromiter(map(_KIND_INDEX.__getitem__, kinds), np.intp, len(rows)))
 
     @cached_property
     def touches(self) -> np.ndarray:
         """Each qubit's timeline, sorted on first use: the code qubit *
         (len(gates) + 1) + gate of every operand, ascending, then int64 max."""
-        span = len(self.arity) + 1
+        span = len(self._rows) + 1
         codes = np.sort(self.qubit * span + np.repeat(np.arange(span - 1), self.arity))
-        codes = np.append(codes, np.iinfo(np.int64).max)
-        codes.flags.writeable = False
-        return codes
+        return _frozen(np.append(codes, np.iinfo(np.int64).max))
+
+    @cached_property
+    def words(self) -> np.ndarray:
+        """The table's words as int64, empty without a table."""
+        table = self._table
+        return _frozen(np.asarray(() if table is None else table.words, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -282,28 +330,40 @@ def gate_lines(circuit: Circuit,
     if not rows:
         yield "\n"
         return
-    ids = [str(q) for q in range(circuit.n_qubits)]
-    # operand strings per distinct operand tuple: the builders repeat the
-    # same op lists, so most gates reuse one
-    operands: dict[tuple[int, ...], str] = {}
+    # decimal strings of every qubit id and layer
+    text = list(map(str, range(max(circuit.n_qubits, max(map(itemgetter(2), rows)) + 1))))
+    # long-range gates in gate order, then a sentinel past the last gate
     flagged = sorted((link_by_gate or {}).items())
-    f = 0
+    flagged.append((len(rows), None))
+    f, lr = 0, flagged[0][0]
     for start in range(0, len(rows), _CHUNK_LINES):
-        stop = start + _CHUNK_LINES
-        lines = []
+        lines: list[str] = []
         append = lines.append
-        for kind, qubits, layer, stage, _ in rows[start:stop]:
-            text = operands.get(qubits)
-            if text is None:
-                text = operands[qubits] = " ".join([ids[q] for q in qubits])
-            append(f"LAYER {layer} STAGE {stage} {kind._value_} {text}\n")
-        while f < len(flagged) and flagged[f][0] < stop:
-            idx, link = flagged[f]
-            f += 1
-            kind, qubits, layer, stage, _ = rows[idx]
-            kind = _LONG_RANGE_KIND.get(kind, kind)
-            lines[idx - start] = (f"LAYER {layer} STAGE {stage} {kind._value_} "
-                                  f"{operands[qubits]} len={link.m}\n")
+        # one f-string per arity; a long-range line is written once, renamed
+        for g, (kind, qubits, layer, stage, _) in enumerate(
+                rows[start:start + _CHUNK_LINES], start):
+            if g == lr:
+                link = flagged[f][1]
+                f += 1
+                lr = flagged[f][0]
+                kind = _LONG_RANGE_KIND.get(kind, kind)
+                append(f"LAYER {text[layer]} STAGE {stage} {kind._value_} "
+                       f"{' '.join([text[q] for q in qubits])} len={link.m}\n")
+                continue
+            n = len(qubits)
+            if n == 2:
+                a, b = qubits
+                append(f"LAYER {text[layer]} STAGE {stage} {kind._value_} {text[a]} {text[b]}\n")
+            elif n == 3:
+                a, b, c = qubits
+                append(f"LAYER {text[layer]} STAGE {stage} {kind._value_} "
+                       f"{text[a]} {text[b]} {text[c]}\n")
+            elif n == 1:
+                a, = qubits
+                append(f"LAYER {text[layer]} STAGE {stage} {kind._value_} {text[a]}\n")
+            else:
+                append(f"LAYER {text[layer]} STAGE {stage} {kind._value_} "
+                       f"{' '.join([text[q] for q in qubits])}\n")
         yield "".join(lines)
 
 

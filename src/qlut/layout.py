@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, count, repeat
 from operator import eq, itemgetter
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -123,6 +123,17 @@ class _Placer:
 def _up_ladder(xy: tuple[int, int], tries: int = 24) -> list[tuple[int, int]]:
     x, y = xy
     return [(x, y + k) for k in range(tries)]
+
+
+def _select_offsets() -> Iterator[tuple[int, int]]:
+    """Where a select node may sit around its memory cell: the 8-cell
+    ladder, then ring after ring at Chebyshev distance 2, 3, ..., each
+    nearest (Manhattan) first and then by (dx, dy)."""
+    yield from (_N, _S, _E, _W, (1, 1), (-1, 1), (1, -1), (-1, -1))
+    for r in count(2):
+        ring = [(dx, dy) for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+                if max(abs(dx), abs(dy)) == r]
+        yield from sorted(ring, key=lambda d: (abs(d[0]) + abs(d[1]), d))
 
 
 def _place_cluster(pl: _Placer, circuit: Circuit, anchor: tuple[int, int]) -> None:
@@ -276,10 +287,12 @@ def place_htree(circuit: Circuit) -> GridPlacement:
             taken[xy], pos[cell] = cell, xy
     if "select_nodes" in circuit.registers:
         for node, cell in zip(circuit.reg("select_nodes"), circuit.reg("cells")):
-            cxy = pos[cell]
-            pl.put_near(node, [(cxy[0] + d[0], cxy[1] + d[1])
-                               for d in (_N, _S, _E, _W,
-                                         (1, 1), (-1, 1), (1, -1), (-1, -1))])
+            cx, cy = pos[cell]
+            for dx, dy in _select_offsets():
+                xy = (cx + dx, cy + dy)
+                if xy not in taken and xy not in reserved:
+                    break
+            taken[xy], pos[node] = node, xy
     _place_strip(pl, circuit, max(map(itemgetter(1), pos.values())), 0)
 
     # shift content to col >= 1 (spare margin column, matching the figures)
@@ -311,18 +324,21 @@ def classify_links(
     distance <= 1) to every other operand. A long-range gate's
     (m, source, target) is the largest (distance, a, b) over its operand
     pairs, a before b; its level is the lowest tree level among its
-    operands when they span two or more distinct levels, else None. Every
-    multi-qubit row of ``gate_arrays.operands`` is classified in one numpy
-    pass, its -1 padding masked out; links come in gate order.
+    operands when they span two or more distinct levels, else None. The
+    verdicts depend on the operands alone, so each distinct multi-qubit
+    row of ``gate_arrays.distinct`` is classified once, in one numpy pass
+    with its -1 padding masked out, and reaches its gates through
+    ``gate_arrays.op``; links come in gate order.
     """
     n = circuit.n_qubits
     view = circuit.gate_arrays
-    gate = np.flatnonzero(view.arity >= 2)
-    if not len(gate):
+    distinct = view.distinct
+    if distinct.shape[1] < 2:
         return [], {}
+    tup = np.flatnonzero(distinct[:, 1] >= 0)
     row, col = _grid_arrays(placement, n)
     level_of = np.fromiter(map(itemgetter(1), circuit.qubits), np.intp, n)
-    q = view.operands[gate]
+    q = distinct[tup]
     real = q >= 0
     r, c = row[q], col[q]
     # operand pairs a before b; padding trails the operands, so a pair is
@@ -334,23 +350,31 @@ def classify_links(
     # a pivot is adjacent to every other operand when no apart pair has it
     has = (operand == i[:, None]) | (operand == j[:, None])   # pair x operand
     far = ~(real & ~(apart @ has)).any(axis=1)
-    gate, q, pair_d, real = gate[far], q[far], pair_d[far], real[far]
+    tup, q, pair_d, real = tup[far], q[far], pair_d[far], real[far]
     # lexicographic max of (distance, a, b) as one integer key
     key = np.where(real[:, j], (pair_d * n + q[:, i]) * n + q[:, j], -1)
     best = key.argmax(axis=1)
-    pick = np.arange(len(gate))
+    pick = np.arange(len(tup))
     m, src, dst = pair_d[pick, best], q[pick, i[best]], q[pick, j[best]]
     lv = np.where(real, level_of[q], -1)
     low = np.where(lv >= 0, lv, np.iinfo(np.intp).max).min(axis=1)
     level = np.where(low < lv.max(axis=1), low, -1)
+    # far tuple k's verdict sits at k in the per-tuple lists; gate g's at far_of[op[g]]
+    far_of = np.full(len(distinct), -1)
+    far_of[tup] = pick
+    k = far_of[view.op]
+    gate = np.flatnonzero(k >= 0)
+    k = k[gate]
     levels = [None if lv < 0 else lv for lv in level.tolist()]
     rest = LinkResource.DISTILLED.value if distillation else LinkResource.GHZ.value
     resource = [LinkResource.FREE.value if lv is not None and lv < free_levels else rest
                 for lv in levels]
+    kl = k.tolist()
     # tuple.__new__ skips the NamedTuple's Python-level __new__
     index = gate.tolist()
     links = list(map(_new_tuple, repeat(LongRangeLink), zip(
-        index, src.tolist(), dst.tolist(), m.tolist(), levels, resource)))
+        index, src[k].tolist(), dst[k].tolist(), m[k].tolist(),
+        map(levels.__getitem__, kl), map(resource.__getitem__, kl))))
     return links, dict(zip(index, links))
 
 
@@ -503,7 +527,7 @@ def build_schedule(
         parent, child = circuit.routers[(level, 0, 0)], circuit.routers[(level + 1, 0, 0)]
         partner[parent.left], partner[child.inp] = child.inp, parent.left
     pair = np.flatnonzero(view.arity == 2)
-    a, b = qubit[view.start[pair]], qubit[view.start[pair] + 1]
+    a, b = view.operands[pair, 0], view.operands[pair, 1]
     inject, deposit, branch = is_addr[a] & is_input[b], is_status[b], partner[a] == b
     hit = np.flatnonzero(inject | deposit | branch)
     tau: dict[int, int] = {}

@@ -660,9 +660,25 @@ def place_htree(circuit: Circuit) -> GridPlacement:
     if "select_nodes" in circuit.registers:
         for node, cell in zip(circuit.reg("select_nodes"), circuit.reg("cells")):
             cxy = pl.pos[cell]
-            pl.put_near(node, [(cxy[0] + d[0], cxy[1] + d[1])
-                               for d in (layout._N, layout._S, layout._E, layout._W,
-                                         (1, 1), (-1, 1), (1, -1), (-1, -1))])
+            try:
+                pl.put_near(node, [(cxy[0] + d[0], cxy[1] + d[1])
+                                   for d in (layout._N, layout._S, layout._E, layout._W,
+                                             (1, 1), (-1, 1), (1, -1), (-1, -1))])
+            except PlacementOverflowError:
+                # the ladder is full: the first free cell of the nearest ring
+                # (Chebyshev distance 2, 3, ...), by Manhattan distance, dx, dy
+                r = 2
+                while True:
+                    ring = sorted((abs(dx) + abs(dy), dx, dy)
+                                  for dx in range(-r, r + 1) for dy in range(-r, r + 1)
+                                  if abs(dx) == r or abs(dy) == r)
+                    cells = [(cxy[0] + dx, cxy[1] + dy) for _, dx, dy in ring]
+                    free = [xy for xy in cells
+                            if xy not in pl.taken and xy not in pl.reserved]
+                    if free:
+                        pl.put(node, free[0])
+                        break
+                    r += 1
     top_y = max(y for _, y in pl.pos.values())
     layout._place_strip(pl, circuit, top_y, anchor[0])
 

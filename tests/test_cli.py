@@ -17,7 +17,7 @@ from conftest import parse_sweep_csv
 from qlut import cli, costs, simulator
 from qlut.builders import build_lookup
 from qlut.cli import main, sweep_table_csv, sweep_exponent_table, SweepSpec
-from qlut.ir import Circuit
+from qlut.ir import Circuit, GateArrays
 from qlut.layout import classify_links, place_htree
 from qlut.params import DataTable, arch_params_from_json, derive_params, error_rates_from_json
 
@@ -453,6 +453,26 @@ def test_commands_never_build_the_named_gate_view(tmp_path, monkeypatch, capsys)
     assert main(["simulate", "--config", cfg, "--trials", "20", "--seed", "3",
                  "--out", str(tmp_path / "s.json"), "--log", str(tmp_path / "t.jsonl")]) == 0
     capsys.readouterr()
+    assert built == []
+
+
+def test_export_gates_builds_no_gate_view_when_unplaced(tmp_path, monkeypatch, capsys):
+    # the gate list is formatted from Circuit.rows: a multi-word circuit,
+    # which is not placed, never pays for the numpy gate view
+    built = []
+    init = GateArrays.__init__
+
+    def counted_init(self, circuit):
+        built.append(circuit)
+        init(self, circuit)
+
+    monkeypatch.setattr(GateArrays, "__init__", counted_init)
+    cfg = _write_config(tmp_path, params={"N": 64, "lambda": 8, "gamma": 2, "b": 2,
+                                          "readout": "ParallelMultiBit"})
+    out = tmp_path / "g.txt"
+    assert main(["export-gates", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert out.read_text().count("\n") > 0
     assert built == []
 
 

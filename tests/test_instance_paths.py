@@ -1,7 +1,7 @@
 """The array-speed instance pipeline against its per-gate reference.
 
 ``CircuitBuilder.emit_ops`` with the memoised op lists, the numpy link
-classification, the array schedule and the cached-string gate export
+classification, the array schedule and the per-arity gate-list export
 must give exactly what the per-gate loops in ``tests/scalar_reference.py``
 give, on every shape with N <= 64 and on the three reference
 architectures. The schedule, which reads start times off the builder's
@@ -9,7 +9,7 @@ layers, is also compared on N = 512 and 1024 trees, and those layers are
 checked to be the ASAP layers of the gate order at benchmark sizes.
 The H-tree placement is compared with its per-cell reference on every
 N <= 64 shape, on deep lambda = N trees and on the three reference
-architectures up to N = 256.
+architectures up to N = 1024.
 """
 import numpy as np
 import pytest
@@ -120,12 +120,16 @@ def test_placement_matches_per_cell_reference(shape):
 
 @pytest.mark.parametrize("kind", ["BucketBrigade", "FanOut", "SelectSwap"])
 def test_reference_placement_matches_per_cell_reference(kind):
-    # SelectSwap's cells and nodes overflow the leaf ports from N = 128 on
-    placed = []
-    for N in (2, 4, 8, 16, 32, 64, 128, 256):
+    # every reference places, identically and injectively, up to N = 1024;
+    # from N = 128 on SelectSwap's select nodes fall back past the 8-cell
+    # ladder around their memory cells
+    for N in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
         table = DataTable(words=tuple(a % 3 & 1 for a in range(N)), b=1)
-        placed.append(_assert_same_placement(builders.build_reference(kind, N, table)))
-    assert placed == ([True] * 6 + [False] * 2 if kind == "SelectSwap" else [True] * 8)
+        circuit = builders.build_reference(kind, N, table)
+        assert _assert_same_placement(circuit)
+        coords = place_htree(circuit).coords
+        assert len(coords) == circuit.n_qubits
+        assert len(set(coords.values())) == len(coords)
 
 
 @pytest.mark.parametrize("chunk_lines", [1, 7, ir._CHUNK_LINES])

@@ -4,13 +4,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scalar_reference
 from conftest import random_table
 from qlut.builders import build_reference, build_unified_lookup
 from qlut.errors import InvalidParamsError
-from qlut.ir import Role
+from qlut.ir import CircuitBuilder, GateKind, QubitInfo, Role, Stage
 from qlut.layout import (
-    LongRangeLink, build_schedule, classify_links, level_pitches,
-    long_range_error, place_htree,
+    GridPlacement, LinkResource, LongRangeLink, build_schedule, classify_links,
+    level_pitches, long_range_error, place_htree,
 )
 from qlut.params import DataTable, ErrorRates, derive_params
 
@@ -252,3 +253,44 @@ def test_free_budget_levels():
     tree_links = [l for l in links if l.level is not None]
     assert all(l.resource == "FreeBudget" for l in tree_links if l.level < 2)
     assert any(l.resource == "DistilledBell" for l in tree_links if l.level >= 2)
+
+
+def test_classify_links_gives_every_gate_of_a_repeated_tuple_its_verdict():
+    # operand tuples replayed across stages and repetitions, as the builders
+    # replay their op lists: every gate of a far tuple is a link, whatever
+    # its kind, and the verdicts match the per-gate reference at every free
+    # budget, with and without distillation
+    b = CircuitBuilder()
+    # q0..q2 on tree levels 0..2, q3 and q4 on level 1, q5 off the tree
+    for level in (0, 1, 2, 1, 1, -1):
+        b.new_qubit(Role.ROUTER_INPUT if level >= 0 else Role.BUS, level=level)
+    placement = GridPlacement(coords={0: (0, 0), 1: (0, 5), 2: (3, 3), 3: (3, 4),
+                                      4: (3, 5), 5: (4, 5)}, bounds=(7, 5))
+    far = [(GateKind.SWAP, (0, 1)), (GateKind.CNOT, (0, 1)), (GateKind.CNOT, (1, 0)),
+           (GateKind.CNOT, (5, 1)), (GateKind.CSWAP, (5, 0, 2))]
+    # local under pivot 3 only (2 and 4 are two cells apart), and one
+    # adjacent pair
+    local = [(GateKind.CSWAP, (2, 3, 4)), (GateKind.CNOT, (4, 5)), (GateKind.X, (0,))]
+    for stage in (Stage.I, Stage.II):
+        b.stage = stage
+        for rep in range(7):
+            b.rep = rep
+            b.emit_ops(far + local if rep % 2 else local + far[::-1])
+    circ = b.build()
+    # SWAP and CNOT (0, 1) share one operand tuple
+    assert len(circ.gate_arrays.distinct) == len(far) + len(local) - 1
+    for k in (0, 1, 2):
+        for distillation in (True, False):
+            links, by_gate = classify_links(circ, placement, distillation, k)
+            want, want_by_gate = scalar_reference.classify_links(
+                circ, placement, distillation, k)
+            assert links == want
+            assert list(by_gate.items()) == list(want_by_gate.items())
+            assert len(links) == 2 * 7 * len(far)
+            assert {link.gate_index for link in links} == {
+                i for i, row in enumerate(circ.rows) if (row[0], row[1]) in far}
+            swap = next(link for link in links if circ.rows[link.gate_index][0] is GateKind.SWAP)
+            assert (swap.source, swap.target, swap.m, swap.level) == (0, 1, 5, 0)
+            assert swap.resource == (LinkResource.FREE.value if k >= 1
+                                     else LinkResource.DISTILLED.value if distillation
+                                     else LinkResource.GHZ.value)

@@ -723,26 +723,38 @@ def _shape_circuits(rng):
 
 
 def test_gate_arrays_match_the_gate_list():
-    # the cached view against a per-gate computation on every N <= 16 shape;
-    # a circuit copied with another table gets its own view and words
+    # the cached view against a per-gate computation on every N <= 16 shape
+    # and on lambda = N trees at N = 64..256 in both multi-word readouts; a
+    # circuit copied with another table gets its own view and words
     rng = np.random.default_rng(22)
-    for circ, _ in _shape_circuits(rng):
+    trees = [build_lookup(derive_params(N, N, 2, 2, readout), random_table(rng, N, 2))
+             for N in (64, 128, 256) for readout in (Readout.PARALLEL, Readout.SEQUENTIAL)]
+    for circ in itertools.chain((circ for circ, _ in _shape_circuits(rng)), trees):
         view = circ.gate_arrays
         assert circ.gate_arrays is view
         gates = circ.gates
+        # each distinct operand tuple once, in first-seen order, and each
+        # gate's op its row
+        seen = list(dict.fromkeys(g.qubits for g in gates))
+        width = max(map(len, seen), default=1)
+        assert view.distinct.tolist() == [list(t) + [-1] * (width - len(t)) for t in seen]
+        row_of = {t: i for i, t in enumerate(seen)}
+        assert view.op.tolist() == [row_of[g.qubits] for g in gates]
         arity = [len(g.qubits) for g in gates]
         assert view.arity.tolist() == arity
         assert view.layer.tolist() == [g.layer for g in gates]
-        assert view.start.tolist() == [sum(arity[:i]) for i in range(len(gates))]
+        assert view.start.tolist() == list(itertools.accumulate(arity, initial=0))[:-1]
         assert view.qubit.tolist() == [q for g in gates for q in g.qubits]
         assert view.kind.tolist() == [list(GateKind).index(g.kind) for g in gates]
-        width = max(arity, default=1)
         assert view.operands.tolist() == [list(g.qubits) + [-1] * (width - len(g.qubits))
                                           for g in gates]
         span = len(gates) + 1
         assert view.touches.tolist() == sorted(
             q * span + i for i, g in enumerate(gates) for q in g.qubits) + [2**63 - 1]
         assert view.words.tolist() == list(circ.table.words)
+        for column in (view.op, view.distinct, view.arity, view.start, view.qubit,
+                       view.operands, view.layer, view.kind, view.touches, view.words):
+            assert not column.flags.writeable
         assert gates == tuple(Gate(*row) for row in circ.rows)
         assert all(type(g) is Gate for g in gates)
         assert circ.gates is gates
