@@ -21,13 +21,13 @@ each pass holding whole address groups. The exhaustive analyses first
 collapse equivalent single faults (``_fault_classes``): a Pauli acts as at
 the next gate on its qubit, and on a basis query Y measures as X and Z as
 no fault, so one X per distinct (next-gate slot, qubit) class and one
-fault-free group answer every injection. With the superposition check,
-containment runs one Y per class times every address: Y moves the bits as
-X does and adds the phase Z adds times i, so counting the lanes that land
-on the ideal output and the lanes whose phase picked up Z's sign answers
-X, Y and Z exactly, in integers. This needs a circuit whose fault-free run
-keeps its address register (every built lookup does) and rejects any
-other with InvalidParamsError. ``run_basis`` (one lane) is the plain
+fault-free group answer every injection. For a circuit whose fault-free
+run keeps its address register (every built lookup does; any other is an
+InvalidParamsError), the superposition check flags every basis-benign X or
+Y, whose own lane keeps its register but misses its ideal output (the gates
+are a permutation), so that lane matches no ideal output; and a Z iff its
+qubit's fault-free bit b varies over the addresses, which one Y per class
+reads off the ``hi`` phase plane. ``run_basis`` (one lane) is the plain
 state-propagation entry point.
 
 One function, ``_site_table``, makes the fault sites, as numpy arrays read
@@ -137,13 +137,26 @@ def run_basis(
 
     ``events[slot]`` lists (qubit, pauli) errors applied before gate ``slot``;
     slot == len(gates) applies after the final gate. The one-lane case of
-    :func:`run_lanes`. ``init_bits`` must lie in [0, 2**n_qubits).
+    :func:`run_lanes`. ``init_bits`` outside [0, 2**n_qubits), a slot or
+    qubit that is not an integer in [0, len(gates)] or [0, n_qubits), and a
+    Pauli other than X, Y or Z are InvalidParamsErrors.
     """
-    if not 0 <= init_bits < 1 << circuit.n_qubits:
-        raise InvalidParamsError(f"init_bits {init_bits} outside [0, 2**{circuit.n_qubits})")
-    planes = [init_bits >> q & 1 for q in range(circuit.n_qubits)]
-    lo, hi = run_lanes(circuit, planes, 1, {slot: [(q, *_PAULI_MASKS[p]) for q, p in evs]
-                                            for slot, evs in (events or {}).items()})
+    G, nq = len(circuit.rows), circuit.n_qubits
+    if not 0 <= init_bits < 1 << nq:
+        raise InvalidParamsError(f"init_bits {init_bits} outside [0, 2**{nq})")
+    faults: LaneFaults = {}
+    for slot, evs in (events or {}).items():
+        try:
+            ok = 0 <= operator.index(slot) <= G and all(
+                0 <= operator.index(q) < nq and p in _PAULI_MASKS for q, p in evs)
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise InvalidParamsError(f"events at slot {slot!r} need 0 <= slot <= {G} and "
+                                     f"(qubit, Pauli) pairs, 0 <= qubit < {nq}, Pauli X, Y or Z")
+        faults[slot] = [(q, *_PAULI_MASKS[p]) for q, p in evs]
+    planes = [init_bits >> q & 1 for q in range(nq)]
+    lo, hi = run_lanes(circuit, planes, 1, faults)
     return sum(bit << q for q, bit in enumerate(planes)), lo | hi << 1
 
 
@@ -618,19 +631,15 @@ class ContainmentReport:
 
 
 def _phase_harmful(circuit: Circuit, sites: list[tuple[int, int]]) -> np.ndarray:
-    """Per Pauli (rows X, Y, Z) and site: does that Pauli there lower a
-    uniform-superposition query's overlap with the ideal output below 1?
+    """Per site: does a Z there lower a uniform-superposition query's
+    overlap with the ideal output below 1?
 
-    Exact in integers, for a circuit whose ideal map keeps the address
-    register (every built lookup does; any other is an InvalidParamsError).
-    Lane (site, a) then lands in the ideal output set iff its output is the
-    ideal output of the address its register ends with, and the overlap is
-    1 iff every lane lands with one common phase. One Y per site answers
-    all three Paulis. Y flips the bit as X does, so X's lanes land where
-    Y's do, and X keeps every phase. Y adds the phase 1 + 2b and Z adds 2b,
-    with b the qubit's bit there in the fault-free run, which Y leaves in
-    the ``hi`` plane. So X is harmful iff some lane does not land, Z iff b
-    varies over the addresses, and Y iff either.
+    A Z adds the phase 2b, b the qubit's fault-free bit there, and keeps
+    every bit, so it is harmful iff b varies over the addresses. One Y per
+    site finds b: it adds the phase 1 + 2b, so with one fault per lane its
+    ``hi`` plane is b. X and Y need no pass (:func:`containment_experiment`)
+    when the fault-free run keeps the address register; any other circuit
+    is an InvalidParamsError.
     """
     N = circuit.params.N
     addresses = np.arange(N)
@@ -642,29 +651,10 @@ def _phase_harmful(circuit: Circuit, sites: list[tuple[int, int]]) -> np.ndarray
         raise InvalidParamsError(
             "the superposition check needs a circuit whose fault-free run keeps "
             "its address register")
-    width = len(addr_reg)
-    set_by = [(q, [a for a in range(N) if ideal[q] >> a & 1])
-              for q in range(circuit.n_qubits) if q not in addr_reg]
-    landed = np.zeros(len(sites), dtype=np.int64)
     high = np.zeros(len(sites), dtype=np.int64)
-    for first, k, _, planes, _, hi in _query_passes(circuit, sites, "Y", addresses):
-        full = (1 << k * N) - 1
-        ends_at = []   # per address: the lanes whose register ends holding it
-        for a in range(N):
-            at = full
-            for i, q in enumerate(addr_reg):
-                at &= planes[q] if a >> (width - 1 - i) & 1 else ~planes[q]
-            ends_at.append(at)
-        missed = 0
-        for q, hits in set_by:
-            want = 0
-            for a in hits:
-                want |= ends_at[a]
-            missed |= planes[q] ^ want
-        landed[first:first + k] = _lane_bits(full & ~missed, k * N).reshape(k, N).sum(axis=1)
+    for first, k, _, _, _, hi in _query_passes(circuit, sites, "Y", addresses):
         high[first:first + k] = _lane_bits(hi, k * N).reshape(k, N).sum(axis=1)
-    x, z = landed < N, (high > 0) & (high < N)
-    return np.array([x, x | z, z])
+    return (high > 0) & (high < N)
 
 
 def containment_experiment(
@@ -681,11 +671,19 @@ def containment_experiment(
     of a uniform-superposition query are reported separately, and a circuit
     whose fault-free run changes its address register is an
     InvalidParamsError. ``sites`` defaults to every (slot, qubit); an
-    address outside [0, N), a site outside 0 <= slot <= len(gates) and
-    0 <= qubit < n_qubits, and a Pauli other than X, Y or Z are
-    InvalidParamsErrors. The report lists every injection, site by site;
-    the basis queries run one X per :func:`_fault_classes` class, and the
-    superposition check one Y per class (:func:`_phase_harmful`).
+    address outside [0, N), a site that is not two integers inside
+    0 <= slot <= len(gates) and 0 <= qubit < n_qubits, and a Pauli other
+    than X, Y or Z are InvalidParamsErrors. The report lists every
+    injection, site by site; the basis queries run one X per
+    :func:`_fault_classes` class.
+
+    The superposition check flags every basis-benign X and Y: the lane of
+    ``address`` keeps its register but not its ideal output (the gates
+    after the fault are a permutation and the fault changed the state), and
+    as the ideal map keeps the register it matches no other ideal output,
+    so the overlap is at most (N - 1) / N. A basis-benign Z is flagged iff
+    its qubit's fault-free bit varies over the addresses
+    (:func:`_phase_harmful`, one Y per class).
     """
     N, G, nq = circuit.params.N, len(circuit.rows), circuit.n_qubits
     if not 0 <= address < N:
@@ -698,11 +696,12 @@ def containment_experiment(
         qubit = np.tile(np.arange(nq), G + 1)
     else:
         try:
+            pairs = set(map(len, sites)) <= {2}
             site = np.fromiter(map(operator.index, itertools.chain.from_iterable(sites)),
                                np.int64)
         except (TypeError, OverflowError):
-            site = None
-        if site is None or len(site) != 2 * len(sites):
+            pairs = False
+        if not pairs:
             raise InvalidParamsError("sites must be (slot, qubit) pairs of integers")
         slot, qubit = site[0::2], site[1::2]
     classes, cls = _fault_classes(circuit, slot, qubit)
@@ -716,7 +715,7 @@ def containment_experiment(
     report = ContainmentReport(address, benign,
                                list(itertools.compress(injections, harmful.tolist())), [])
     if check_superposition:
-        flagged = _phase_harmful(circuit, classes[1:])[pauli, of - 1].ravel()[~harmful]
+        flagged = ((pauli != 2) | _phase_harmful(circuit, classes[1:])[of - 1]).ravel()[~harmful]
         report.benign = list(itertools.compress(benign, (~flagged).tolist()))
         report.phase_harmful = list(itertools.compress(benign, flagged.tolist()))
     return report

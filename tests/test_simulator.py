@@ -576,23 +576,44 @@ def test_full_site_containment_matches_lane_reference(shape, data):
 
 
 def test_phase_table_matches_the_overlap_count_at_every_site():
-    # every site under each Pauli, basis-benign or not, on every shape with
-    # N <= 4: the table one Y per site gives against the per-injection
-    # overlap count. It includes X faults that land on another address's
-    # ideal output, so the X row is not always set and the Y row is not
-    # always the X row
+    # every site on every shape with N <= 4: the Z verdict that one Y per
+    # site gives (its qubit's fault-free bit varies over the addresses)
+    # against the per-injection overlap count, with both verdicts occurring
     rng = np.random.default_rng(24)
-    landing = y_only = 0
+    verdicts = set()
     for circ, _ in _shape_circuits(rng):
         if circ.params.N > 4:
             continue
         sites = [(slot, q) for slot in range(len(circ.gates) + 1) for q in range(circ.n_qubits)]
-        table = simulator._phase_harmful(circ, sites)
-        assert table.tolist() == [scalar_reference.overlap_harmful(circ, sites, pauli)
-                                  for pauli in "XYZ"]
-        landing += int(np.count_nonzero(~table[0]))
-        y_only += int(np.count_nonzero(table[1] & ~table[0]))
-    assert landing and y_only
+        got = simulator._phase_harmful(circ, sites).tolist()
+        assert got == scalar_reference.overlap_harmful(circ, sites, "Z")
+        verdicts.update(got)
+    assert verdicts == {False, True}
+
+
+def test_every_basis_benign_x_or_y_is_phase_harmful():
+    # the rule that lets containment flag every basis-benign X and Y without
+    # a pass, checked on the overlap count at every address and site of
+    # every shape with N <= 4: a basis-benign lane keeps its register and
+    # misses its ideal output, so it matches no ideal output. A basis-harmful
+    # X can land on another address's ideal output and keep the overlap at
+    # 1, which the reference's landing count must see
+    rng = np.random.default_rng(25)
+    landed = 0
+    for circ, _ in _shape_circuits(rng):
+        if circ.params.N > 4:
+            continue
+        sites = [(slot, q) for slot in range(len(circ.gates) + 1) for q in range(circ.n_qubits)]
+        overlap = {p: dict(zip(sites, scalar_reference.overlap_harmful(circ, sites, p)))
+                   for p in "XY"}
+        for address in range(circ.params.N):
+            basis = scalar_reference.lane_containment(circ, address, sites, ("X", "Y"))
+            assert all(overlap[p][s, q] for s, q, p in basis.benign)
+            landed += sum(not overlap["X"][s, q] for s, q, p in basis.harmful if p == "X")
+            got = containment_experiment(circ, address, sites=sites, paulis=("X", "Y"),
+                                         check_superposition=True)
+            assert got.benign == [] and got.phase_harmful == basis.benign
+    assert landed
 
 
 def test_containment_classes_repeated_and_partial_inputs():
@@ -662,14 +683,18 @@ def test_containment_rejects_an_address_outside_the_table(address):
 
 
 @pytest.mark.parametrize("site", ["slot -1", "slot past the end", "qubit -1",
-                                  "qubit past the last", "fractional slot", "three numbers"])
+                                  "qubit past the last", "fractional slot", "three numbers",
+                                  "ragged pairs"])
 def test_containment_rejects_a_site_outside_the_circuit(site):
+    # "ragged pairs" holds four integers, which read two at a time would
+    # be the valid sites (1, 2) and (3, 4)
     circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
-    bad = {"slot -1": (-1, 0), "slot past the end": (len(circ.gates) + 1, 0),
-           "qubit -1": (3, -1), "qubit past the last": (3, circ.n_qubits),
-           "fractional slot": (2.5, 0), "three numbers": (3, 0, 1)}[site]
+    bad = {"slot -1": [(-1, 0)], "slot past the end": [(len(circ.gates) + 1, 0)],
+           "qubit -1": [(3, -1)], "qubit past the last": [(3, circ.n_qubits)],
+           "fractional slot": [(2.5, 0)], "three numbers": [(3, 0, 1)],
+           "ragged pairs": [(1, 2, 3), (4,)]}[site]
     with pytest.raises(InvalidParamsError, match="sites"):
-        containment_experiment(circ, 2, sites=[(0, 0), bad])
+        containment_experiment(circ, 2, sites=[(0, 0), *bad])
 
 
 @pytest.mark.parametrize("location", ["slot past the end", "slot -1", "qubit -1",
@@ -704,6 +729,23 @@ def test_run_basis_rejects_bits_outside_the_qubits(bits):
     init = {"negative": -1, "past the last qubit": 1 << circ.n_qubits}[bits]
     with pytest.raises(InvalidParamsError, match="init_bits"):
         run_basis(circ, init)
+
+
+@pytest.mark.parametrize("event", ["slot past the end", "slot -1", "qubit -1",
+                                   "qubit past the last", "unknown Pauli", "fractional slot",
+                                   "fractional qubit"])
+def test_run_basis_rejects_an_event_outside_the_circuit(event):
+    # before the check, a slot past the end was dropped, slot -1 acted
+    # before the last gate, qubit -1 hit the last qubit, and the others
+    # raised a bare IndexError, KeyError or TypeError
+    circ = build_unified_lookup(derive_params(4, 2, 1), DataTable((0,) * 4, 1))
+    G, nq = len(circ.gates), circ.n_qubits
+    events = {"slot past the end": {G + 1: [(0, "X")]}, "slot -1": {-1: [(0, "X")]},
+              "qubit -1": {3: [(-1, "X")]}, "qubit past the last": {3: [(nq, "X")]},
+              "unknown Pauli": {3: [(0, "W")]}, "fractional slot": {2.5: [(0, "X")]},
+              "fractional qubit": {3: [(1.5, "X")]}}[event]
+    with pytest.raises(InvalidParamsError, match="event"):
+        run_basis(circ, 0, {0: [(1, "Z")], **events})
 
 
 def _shape_circuits(rng):
