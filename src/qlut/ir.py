@@ -6,7 +6,8 @@ plain ``(kind, qubits, layer, stage, rep)`` row (``Circuit.rows``), in
 ``Gate``'s field order; ``Circuit.gates`` wraps the rows as ``Gate``s on
 first use. Circuits are frozen after build and safe to share across
 threads, and each computes its read-only numpy view, ``Circuit.gate_arrays``,
-once, on first use. The view's columns per gate (kind, arity, layer,
+once, on first use (the simulator keeps its per-circuit analysis state on
+the circuit the same way). The view's columns per gate (kind, arity, layer,
 operands, and each gate's index into the distinct operand tuples) are what
 the layout and simulator read in place of the rows.
 """

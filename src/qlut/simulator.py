@@ -10,14 +10,15 @@ with one to three bitwise operations, single Paulis are per-lane X/Y/Z
 masks, and the global phase quadrant is kept in two lane planes.
 
 Every analysis asks one question, answered by one query pass,
-``_query_lanes``: lane i queries address ``addresses[i]`` under its own
-faults, and the pass reports the lanes whose measured (address, word)
-differs from the table. ``monte_carlo_infidelity`` runs the faulty trials
-of each block of trials through it, each with its own flip masks;
-``containment_experiment``, ``first_order_infidelity``,
-``harmful_weight_by_rate`` and ``lookup_correct`` run their (site,
-address) queries through it site-major under one Pauli (``_query_passes``),
-each pass holding whole address groups. The exhaustive analyses first
+``_query_lanes``: each lane queries one address (its input and wanted
+output planes from ``_query_planes``) under its own faults, and the pass
+reports the lanes whose measured (address, word) differs from the table.
+``monte_carlo_infidelity`` runs the faulty trials of each block of trials
+through it, each with its own flip masks; ``containment_experiment``,
+``first_order_infidelity``, ``harmful_weight_by_rate`` and
+``lookup_correct`` run their (site, address) queries through it site-major
+under one Pauli (``_query_passes``), each pass holding whole address
+groups, whose planes are made once per call. The exhaustive analyses first
 collapse equivalent single faults (``_fault_classes``): a Pauli acts as at
 the next gate on its qubit, and on a basis query Y measures as X and Z as
 no fault, so one X per distinct (next-gate slot, qubit) class and one
@@ -27,8 +28,11 @@ InvalidParamsError), the superposition check flags every basis-benign X or
 Y, whose own lane keeps its register but misses its ideal output (the gates
 are a permutation), so that lane matches no ideal output; and a Z iff its
 qubit's fault-free bit b varies over the addresses, which one Y per class
-reads off the ``hi`` phase plane. ``run_basis`` (one lane) is the plain
-state-propagation entry point.
+reads off the ``hi`` phase plane. Those Z verdicts and the register check
+do not depend on the query's address, so they are computed once per
+circuit and kept on it (``_AnalysisState``); the basis verdicts at an
+address and the first-order counts are computed on every call.
+``run_basis`` (one lane) is the plain state-propagation entry point.
 
 One function, ``_site_table``, makes the fault sites, as numpy arrays read
 off the circuit's gate view (a rate per gate ``kind``, candidate qubits from
@@ -368,21 +372,27 @@ def _block_draws(table: _SiteTable, N: int,
     return addresses, cell // size, row, table.operands[row, variant // 3], variant % 3
 
 
-def _lane_planes(values: np.ndarray, reg: tuple[int, ...], big_endian: bool,
-                 planes: list[int]) -> None:
-    """Set planes[reg[i]] to the lanes whose value has register bit i set."""
-    width = len(reg)
+def _lane_planes(values: np.ndarray, width: int, big_endian: bool) -> list[int]:
+    """Per register bit i of ``width``, the lanes whose value has bit i set."""
     shift = np.arange(width - 1, -1, -1) if big_endian else np.arange(width)
     bits = np.packbits((values & 1 << shift[:, None]).astype(bool), axis=1, bitorder="little")
     data, step = bits.tobytes(), bits.shape[1]
-    for i, q in enumerate(reg):
-        planes[q] = int.from_bytes(data[i * step:(i + 1) * step], "little")
+    return [int.from_bytes(data[i * step:(i + 1) * step], "little") for i in range(width)]
 
 
-def _query_lanes(circuit: Circuit, addresses: np.ndarray,
+def _query_planes(circuit: Circuit, addresses: np.ndarray) -> list[int]:
+    """Lane i as a basis query of ``addresses[i]``: the planes of the address
+    register (big-endian) and then of the bus (little-endian), holding each
+    lane's address and table word, the query's input and wanted output."""
+    return (_lane_planes(addresses, len(circuit.reg("address")), True)
+            + _lane_planes(circuit.gate_arrays.words[addresses], len(circuit.reg("bus")), False))
+
+
+def _query_lanes(circuit: Circuit, lanes: int, want: list[int],
                  masks: dict[tuple[int, int], int] | None = None,
                  pauli: str = "X") -> tuple[int, list[int], int, int]:
-    """Run lane i as a basis query of ``addresses[i]``; the one query pass.
+    """Run ``lanes`` basis queries given as :func:`_query_planes`; the one
+    query pass.
 
     ``masks[slot, qubit]`` marks the lanes that get ``pauli`` on that qubit
     before gate ``slot``. Returns (wrong, planes, lo, hi): ``wrong`` marks
@@ -392,17 +402,16 @@ def _query_lanes(circuit: Circuit, addresses: np.ndarray,
     """
     address, bus = circuit.reg("address"), circuit.reg("bus")
     planes = [0] * circuit.n_qubits
-    _lane_planes(addresses, address, True, planes)
-    wanted = planes.copy()
-    _lane_planes(circuit.gate_arrays.words[addresses], bus, False, wanted)
+    for q, plane in zip(address, want):
+        planes[q] = plane
     x, y, z = _PAULI_MASKS[pauli]
     faults: LaneFaults = {}
-    for (slot, q), lanes in (masks or {}).items():
-        faults.setdefault(slot, []).append((q, x and lanes, y and lanes, z and lanes))
-    lo, hi = run_lanes(circuit, planes, len(addresses), faults)
+    for (slot, q), hit in (masks or {}).items():
+        faults.setdefault(slot, []).append((q, x and hit, y and hit, z and hit))
+    lo, hi = run_lanes(circuit, planes, lanes, faults)
     wrong = 0
-    for q in address + bus:
-        wrong |= planes[q] ^ wanted[q]
+    for q, plane in zip(address + bus, want):
+        wrong |= planes[q] ^ plane
     return wrong, planes, lo, hi
 
 
@@ -438,7 +447,8 @@ def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: i
         for s, q, i in zip(flip_slot[a:b].tolist(), flip_qubit[a:b].tolist(),
                            (lane[a:b] - first).tolist()):
             flips[s, q] = flips.get((s, q), 0) ^ 1 << i
-        wrong, *_ = _query_lanes(circuit, addresses[lane_trials], flips)
+        wrong, *_ = _query_lanes(circuit, lanes, _query_planes(circuit, addresses[lane_trials]),
+                                 flips)
         ok[lane_trials] = _lane_bits(wrong, lanes) == 0
     events = None
     if with_events:
@@ -484,9 +494,15 @@ def monte_carlo_infidelity(
     over the merged site table, each block's faulty trials run as the lanes
     of one pass; trial t's address, events and outcome depend on
     (seed, t // _BLOCK) and t % _BLOCK alone. ``on_trial(t, result)`` sees
-    every trial, in order, e.g. to log it. ``trials`` below 1 and a negative
-    ``seed`` are InvalidParamsErrors.
+    every trial, in order, e.g. to log it. ``trials`` and ``seed`` are read
+    as integers (``operator.index``); one that is not an integer, ``trials``
+    below 1 and a negative ``seed`` are InvalidParamsErrors.
     """
+    try:
+        trials, seed = operator.index(trials), operator.index(seed)
+    except TypeError:
+        raise InvalidParamsError(
+            f"trials and seed must be integers, got {trials!r} and {seed!r}") from None
     if trials < 1:
         raise InvalidParamsError("trials must be >= 1")
     if seed < 0:
@@ -506,22 +522,26 @@ def _query_passes(circuit: Circuit, sites: list[tuple[int, int] | None], pauli: 
 
     Lane g injects ``pauli`` at sites[g // len(addresses)] (None: no fault)
     into a query of address addresses[g % len(addresses)]. A pass holds whole address
-    groups, as many as fit in ``_MAX_LANES`` and at least one. Yields, per
-    pass, (first site, sites, wrong, planes, lo, hi), the last four from
-    :func:`_query_lanes`.
+    groups, as many as fit in ``_MAX_LANES`` and at least one. The query
+    planes of one group are made once per call; a pass of k groups takes
+    each as one multiply by the repunit sum_j 2**(j * len(addresses)),
+    j < k. Yields, per pass, (first site, sites, wrong, planes, lo, hi),
+    the last four from :func:`_query_lanes`.
     """
     period = len(addresses)
-    addresses = np.asarray(addresses, dtype=np.int64)
+    want = _query_planes(circuit, np.asarray(addresses, dtype=np.int64))
     group = (1 << period) - 1
     step = max(1, _MAX_LANES // period)
     for first in range(0, len(sites), step):
         chunk = sites[first:first + step]
+        k = len(chunk)
         masks: dict[tuple[int, int], int] = {}
         for j, site in enumerate(chunk):
             if site is not None:
                 masks[site] = masks.get(site, 0) | group << j * period
-        yield first, len(chunk), *_query_lanes(circuit, np.tile(addresses, len(chunk)),
-                                               masks, pauli)
+        repunit = ((1 << k * period) - 1) // group
+        yield first, k, *_query_lanes(circuit, k * period, [p * repunit for p in want],
+                                      masks, pauli)
 
 
 def _wrong_counts(circuit: Circuit, sites: list[tuple[int, int] | None], pauli: str,
@@ -630,6 +650,33 @@ class ContainmentReport:
     phase_harmful: list[tuple[int, int, str]]  # benign on basis, harmful in superposition
 
 
+@dataclass
+class _AnalysisState:
+    """What the analyses of one circuit share across calls: facts that
+    depend on its gates and registers alone, not on a call's address or
+    sites. Kept on the circuit (:func:`_analysis_state`) and filled as
+    callers ask.
+
+    ``keeps_address`` is whether the fault-free run keeps the address
+    register at every address (None until first asked); ``z_harmful`` maps
+    each (slot, qubit) site asked about so far to its
+    :func:`_phase_harmful` verdict. Both are deterministic and only ever
+    set or added to, so two threads on one circuit can at worst both
+    compute the same value: a circuit stays safe to share across threads.
+    """
+    keeps_address: bool | None = None
+    z_harmful: dict[tuple[int, int], bool] = field(default_factory=dict)
+
+
+def _analysis_state(circuit: Circuit) -> _AnalysisState:
+    """``circuit``'s :class:`_AnalysisState`, made on first use."""
+    state = circuit.__dict__.get("_analysis_state")
+    if state is None:
+        # setdefault is atomic: concurrent first calls keep one state
+        state = circuit.__dict__.setdefault("_analysis_state", _AnalysisState())
+    return state
+
+
 def _phase_harmful(circuit: Circuit, sites: list[tuple[int, int]]) -> np.ndarray:
     """Per site: does a Z there lower a uniform-superposition query's
     overlap with the ideal output below 1?
@@ -639,22 +686,30 @@ def _phase_harmful(circuit: Circuit, sites: list[tuple[int, int]]) -> np.ndarray
     site finds b: it adds the phase 1 + 2b, so with one fault per lane its
     ``hi`` plane is b. X and Y need no pass (:func:`containment_experiment`)
     when the fault-free run keeps the address register; any other circuit
-    is an InvalidParamsError.
+    is an InvalidParamsError. Neither answer depends on a call's address,
+    so both are computed once per circuit: the fault-free N-lane check on
+    the first call, and one Y per site (in passes of whole address groups)
+    the first time a call asks about that site (:class:`_AnalysisState`).
     """
     N = circuit.params.N
     addresses = np.arange(N)
-    addr_reg = circuit.reg("address")
-    queries = [0] * circuit.n_qubits
-    _lane_planes(addresses, addr_reg, True, queries)
-    _, ideal, _, _ = _query_lanes(circuit, addresses)
-    if any(ideal[q] != queries[q] for q in addr_reg):
+    state = _analysis_state(circuit)
+    if state.keeps_address is None:
+        want = _query_planes(circuit, addresses)
+        _, planes, _, _ = _query_lanes(circuit, N, want)
+        state.keeps_address = all(planes[q] == p for q, p in zip(circuit.reg("address"), want))
+    if not state.keeps_address:
         raise InvalidParamsError(
             "the superposition check needs a circuit whose fault-free run keeps "
             "its address register")
-    high = np.zeros(len(sites), dtype=np.int64)
-    for first, k, _, _, _, hi in _query_passes(circuit, sites, "Y", addresses):
-        high[first:first + k] = _lane_bits(hi, k * N).reshape(k, N).sum(axis=1)
-    return (high > 0) & (high < N)
+    known = state.z_harmful
+    new = [site for site in dict.fromkeys(sites) if site not in known]
+    if new:
+        high = np.zeros(len(new), dtype=np.int64)
+        for first, k, _, _, _, hi in _query_passes(circuit, new, "Y", addresses):
+            high[first:first + k] = _lane_bits(hi, k * N).reshape(k, N).sum(axis=1)
+        known.update(zip(new, ((high > 0) & (high < N)).tolist()))
+    return np.array([known[site] for site in sites], dtype=bool)
 
 
 def containment_experiment(
@@ -671,11 +726,12 @@ def containment_experiment(
     of a uniform-superposition query are reported separately, and a circuit
     whose fault-free run changes its address register is an
     InvalidParamsError. ``sites`` defaults to every (slot, qubit); an
-    address outside [0, N), a site that is not two integers inside
-    0 <= slot <= len(gates) and 0 <= qubit < n_qubits, and a Pauli other
-    than X, Y or Z are InvalidParamsErrors. The report lists every
-    injection, site by site; the basis queries run one X per
-    :func:`_fault_classes` class.
+    address that is not an integer (``operator.index``) in [0, N), a site
+    that is not two integers inside 0 <= slot <= len(gates) and
+    0 <= qubit < n_qubits, and a Pauli other than X, Y or Z are
+    InvalidParamsErrors. The report lists every injection, site by site;
+    the basis queries run one X per :func:`_fault_classes` class, on every
+    call.
 
     The superposition check flags every basis-benign X and Y: the lane of
     ``address`` keeps its register but not its ideal output (the gates
@@ -683,9 +739,15 @@ def containment_experiment(
     as the ideal map keeps the register it matches no other ideal output,
     so the overlap is at most (N - 1) / N. A basis-benign Z is flagged iff
     its qubit's fault-free bit varies over the addresses
-    (:func:`_phase_harmful`, one Y per class).
+    (:func:`_phase_harmful`, one Y per class). Those Z verdicts and the
+    register check do not depend on ``address``, so they are computed once
+    per circuit: a sweep over the addresses runs each class's Y once.
     """
     N, G, nq = circuit.params.N, len(circuit.rows), circuit.n_qubits
+    try:
+        address = operator.index(address)
+    except TypeError:
+        raise InvalidParamsError(f"address {address!r} is not an integer") from None
     if not 0 <= address < N:
         raise InvalidParamsError(f"address {address} outside [0, {N})")
     for pauli in paulis:

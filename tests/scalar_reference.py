@@ -270,7 +270,8 @@ def overlap_harmful(circuit: Circuit, sites: list[tuple[int, int]], pauli: str) 
     N = circuit.params.N
     addresses = np.arange(N)
     addr_reg = circuit.reg("address")
-    _, ideal, _, _ = simulator._query_lanes(circuit, addresses)
+    _, ideal, _, _ = simulator._query_lanes(circuit, N,
+                                            simulator._query_planes(circuit, addresses))
     width = len(addr_reg)
     set_by = [(q, [a for a in range(N) if ideal[q] >> a & 1])
               for q in range(circuit.n_qubits) if q not in addr_reg]

@@ -2,6 +2,8 @@ import dataclasses
 import functools
 import itertools
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -444,7 +446,8 @@ def test_phase_check_when_the_ideal_map_moves_the_address():
     b.emit(GateKind.CNOT, anc, bus)
     circ = b.build()
     sites = [(slot, q) for slot in range(len(circ.gates) + 1) for q in range(circ.n_qubits)]
-    for address in range(2):
+    for address in (0, 1, 0):
+        # the register check runs once per circuit; every call still raises
         with pytest.raises(InvalidParamsError, match="address register"):
             containment_experiment(circ, address, sites=sites, check_superposition=True)
         want = scalar_reference.containment(circ, address, sites)
@@ -465,36 +468,111 @@ def test_lane_passes_hold_one_address_group_at_five_lanes(monkeypatch):
     sent = []
     query_lanes = simulator._query_lanes
 
-    def counting(circuit, addresses, masks=None, pauli="X"):
-        sent.append(len(addresses))
-        return query_lanes(circuit, addresses, masks, pauli)
+    def counting(circuit, lanes, want, masks=None, pauli="X"):
+        sent.append(lanes)
+        return query_lanes(circuit, lanes, want, masks, pauli)
 
     monkeypatch.setattr(simulator, "_query_lanes", counting)
     _assert_lanes_match_reference(circ, 6, sites, locations[::25])
     assert max(sent) == 16 and all(n == 16 or n <= 5 for n in sent) and 5 in sent
 
 
-def test_superposition_check_runs_one_y_per_fault_class(monkeypatch):
+def _classes_of(circ, sites):
+    """The (next-gate slot, qubit) classes of ``sites``, gate by gate."""
+    gates = len(circ.gates)
+    return {(next((s for s in range(slot, gates) if q in circ.gates[s].qubits), gates), q)
+            for slot, q in sites}
+
+
+@pytest.fixture
+def sent(monkeypatch):
+    """The (Pauli, lanes) of every query pass the test runs, in order."""
+    passes = []
+    query_lanes = simulator._query_lanes
+
+    def counting(circuit, lanes, want, masks=None, pauli="X"):
+        passes.append((pauli, lanes))
+        return query_lanes(circuit, lanes, want, masks, pauli)
+
+    monkeypatch.setattr(simulator, "_query_lanes", counting)
+    return passes
+
+
+def test_superposition_check_runs_one_y_per_fault_class(sent):
     # one benchmark unified chunk: the basis pass sends one X per
     # (next-gate slot, qubit) class plus the fault-free lane, and the
     # superposition check one Y per class times the 16 addresses after the
     # 16-lane fault-free pass that gives the ideal outputs
     bench = workloads.Containment(qlut, 0, None, {})
     circ, sites = bench.uni, bench.uni_sites[0]
-    sent = []
-    query_lanes = simulator._query_lanes
-
-    def counting(circuit, addresses, masks=None, pauli="X"):
-        sent.append((pauli, len(addresses)))
-        return query_lanes(circuit, addresses, masks, pauli)
-
-    monkeypatch.setattr(simulator, "_query_lanes", counting)
     containment_experiment(circ, 5, sites=sites, check_superposition=True)
-    gates = len(circ.gates)
-    classes = {(next((s for s in range(slot, gates) if q in circ.gates[s].qubits), gates), q)
-               for slot, q in sites}
-    assert len(classes) == 35
+    assert len(_classes_of(circ, sites)) == 35
     assert sent == [("X", 35 + 1), ("X", 16), ("Y", 35 * 16)]
+
+
+def test_superposition_sweep_runs_each_y_and_the_register_check_once(sent):
+    # the Z verdicts and the fault-free register check do not depend on the
+    # address, so a sweep over all 16 addresses of one benchmark unified
+    # chunk sends one Y per class and one 16-lane fault-free pass in all,
+    # and a second chunk sends a Y only for the classes the first lacked
+    bench = workloads.Containment(qlut, 0, None, {})
+    circ, first, second = bench.uni, bench.uni_sites[0], bench.uni_sites[1]
+    for address in random.Random(5).sample(range(16), 16):
+        containment_experiment(circ, address, sites=first, check_superposition=True)
+    assert sent == [("X", 36), ("X", 16), ("Y", 35 * 16)] + [("X", 36)] * 15
+    del sent[:]
+    containment_experiment(circ, 3, sites=first + second, check_superposition=True)
+    new = _classes_of(circ, second) - _classes_of(circ, first)
+    assert 0 < len(new) < len(_classes_of(circ, second))
+    assert sent == [("X", len(_classes_of(circ, first + second)) + 1), ("Y", len(new) * 16)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=1)
+@given(data=st.data())
+@pytest.mark.parametrize("shape", _lane_shapes(),
+                         ids=lambda s: "-".join(str(getattr(v, "value", v)) for v in s))
+def test_superposition_sweep_matches_fresh_circuits_and_lane_reference(shape, data):
+    # one circuit swept over every address in a shuffled order with
+    # overlapping site chunks, so later calls read verdicts earlier calls
+    # stored, against a fresh copy of the circuit per call and against the
+    # per-injection lane reference
+    circ, _ = _lane_circuit(shape, data)
+    sites = data.draw(st.lists(
+        st.tuples(st.integers(0, len(circ.gates)), st.integers(0, circ.n_qubits - 1)),
+        min_size=8, max_size=24, unique=True), label="sites")
+    chunks = [sites[:len(sites) * 2 // 3], sites[len(sites) // 3:]]
+    order = data.draw(st.permutations(range(circ.params.N)), label="address order")
+    for address in order:
+        for chunk in chunks:
+            got = containment_experiment(circ, address, sites=chunk, check_superposition=True)
+            fresh = containment_experiment(dataclasses.replace(circ), address, sites=chunk,
+                                           check_superposition=True)
+            want = scalar_reference.lane_containment(circ, address, chunk,
+                                                     check_superposition=True)
+            assert got == fresh == want
+
+
+def test_threads_sweeping_one_circuit_give_the_serial_reports():
+    # two threads fill one circuit's stored verdicts at once; every report
+    # matches a serial sweep over a fresh copy of the circuit
+    circ = build_unified_lookup(derive_params(16, 4, 2),
+                                random_table(np.random.default_rng(11), 16))
+    sites = [(slot, q) for slot in range(len(circ.gates) + 1) for q in range(circ.n_qubits)]
+    chunks = [sites[i:i + 400] for i in range(0, len(sites), 300)]
+    items = [(address, chunk) for address in range(16) for chunk in chunks]
+    random.Random(12).shuffle(items)
+    serial = dataclasses.replace(circ)
+    want = [containment_experiment(serial, a, sites=c, check_superposition=True)
+            for a, c in items]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)   # switch threads often, inside the analyses
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(lambda item: containment_experiment(
+                circ, item[0], sites=item[1], check_superposition=True), items, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_first_order_queries_each_distinct_location_once(monkeypatch):
@@ -675,11 +753,13 @@ def test_first_order_counts_z_when_fault_free_queries_fail():
         scalar_reference.harmful_weight_by_rate(locations, fractions)
 
 
-@pytest.mark.parametrize("address", [-1, 8])
+@pytest.mark.parametrize("address", [-1, 8, 2.5, "3"])
 def test_containment_rejects_an_address_outside_the_table(address):
+    # before the integer check, 2.5 queried address 2 and reported 2.5, and
+    # "3" raised a bare TypeError
     circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
     with pytest.raises(InvalidParamsError, match="address"):
-        containment_experiment(circ, address, sites=[(0, 0)])
+        containment_experiment(circ, address, sites=[(3, 1), (10, 2)])
 
 
 @pytest.mark.parametrize("site", ["slot -1", "slot past the end", "qubit -1",
@@ -721,6 +801,25 @@ def test_monte_carlo_rejects_a_negative_seed():
     circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
     with pytest.raises(InvalidParamsError, match="seed"):
         monte_carlo_infidelity(circ, _LANE_RATES, 10, -1)
+
+
+@pytest.mark.parametrize("trials, seed", [(2.5, 1), ("3", 1), (10, 1.5), (10, "1")])
+def test_monte_carlo_rejects_trials_or_seed_that_are_not_integers(trials, seed):
+    # before the integer check, 2.5 trials and seed 1.5 raised bare TypeErrors
+    circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
+    with pytest.raises(InvalidParamsError, match="integers"):
+        monte_carlo_infidelity(circ, _LANE_RATES, trials, seed)
+
+
+def test_monte_carlo_reports_integer_trials():
+    # trials=True ran one trial but reported "trials": True; integer-like
+    # arguments run as their int
+    circ = build_unified_lookup(derive_params(8, 4, 2), random_table(np.random.default_rng(8), 8))
+    got = monte_carlo_infidelity(circ, _LANE_RATES, True, np.int64(3))
+    assert got == monte_carlo_infidelity(circ, _LANE_RATES, 1, 3)
+    assert type(got["trials"]) is int
+    assert monte_carlo_infidelity(circ, _LANE_RATES, np.int64(40), 3) == \
+        monte_carlo_infidelity(circ, _LANE_RATES, 40, 3)
 
 
 @pytest.mark.parametrize("bits", ["negative", "past the last qubit"])
