@@ -433,7 +433,6 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     handlers = {
         "report": cmd_report,
         "sweep": cmd_sweep,
@@ -441,9 +440,11 @@ def main(argv: list[str] | None = None) -> int:
         "export-layout": cmd_export_layout,
         "simulate": cmd_simulate,
     }
+    # paused before the parser is built: building it alone can trip a collection
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = _parser().parse_args(argv)
         handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

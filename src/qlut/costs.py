@@ -242,6 +242,8 @@ def fit_exponent(sizes, values) -> ExponentFit:
     values = np.asarray(values, dtype=float)
     if sizes.shape != values.shape or sizes.size < 5:
         raise DegenerateInputError("need at least 5 (N, value) pairs")
+    if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(values))):
+        raise DegenerateInputError("sizes and values must be finite")
     if np.any(values <= 0) or np.any(sizes <= 0):
         raise DegenerateInputError("sizes and values must be positive")
     x = np.log2(sizes)

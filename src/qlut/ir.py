@@ -114,11 +114,10 @@ class GateArrays:
     The builders replay the same op lists, so a circuit holds far fewer
     distinct operand tuples than gates. ``op`` gives each gate's index into
     ``distinct``, those tuples in first-seen order, padded with -1; a
-    gate's ``arity``, ``start`` (the offset of its first operand in
-    ``qubit``, every gate's operands in gate order) and ``operands`` are
-    gathered from the two. Per gate also its ``layer`` and ``kind``, and per
-    qubit its timeline ``touches``; ``words`` is the table as int64, empty
-    without one.
+    gate's ``arity`` and ``operands`` are gathered from the two, and
+    ``qubit`` holds every gate's operands in gate order. Per gate also its
+    ``layer`` and ``kind``, and per qubit its timeline ``touches``;
+    ``words`` is the table as int64, empty without one.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -152,11 +151,6 @@ class GateArrays:
     def arity(self) -> np.ndarray:
         """Each gate's number of operands."""
         return _frozen(np.count_nonzero(self.distinct >= 0, axis=1)[self.op])
-
-    @cached_property
-    def start(self) -> np.ndarray:
-        """The offset of each gate's first operand in ``qubit``."""
-        return _frozen(np.cumsum(self.arity) - self.arity)
 
     @cached_property
     def operands(self) -> np.ndarray:

@@ -3,8 +3,11 @@
 Routers are placed by recursive bisection in the H-tree fractal pattern:
 the root quadruple sits at the center with its T-shape opening toward the
 I/O cluster, children alternate splitting axis, and displacement magnitudes
-shrink as the recursion descends. Inter-level transfers become long-range
-links whose length feeds the long-range error model.
+shrink as the recursion descends. Router centers are rigid; every other
+qubit takes the first free cell (neither taken nor reserved) of its
+candidate list, through the one search ``_Placer.put_near``.
+Inter-level transfers become long-range links whose length m sets their
+one price, :func:`long_range_error`.
 
 Coordinates are (row, col); `row` grows upward to match the reference
 diagrams. The depth-4 tree reproduces the published 16-location layout
@@ -18,7 +21,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, count, repeat
 from operator import eq, itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,7 +36,6 @@ _N, _E, _S, _W = (0, 1), (1, 0), (0, -1), (-1, 0)
 
 
 class LinkResource(str, Enum):
-    GHZ = "GhzChain"
     DISTILLED = "DistilledBell"
     FREE = "FreeBudget"
 
@@ -98,26 +100,26 @@ def _tree_displacements(depth: int) -> list[tuple[int, int]]:
 
 
 class _Placer:
+    """The qubits placed so far (``pos``: qubit -> cell, ``taken``: cell ->
+    qubit) and the cells kept free for GHZ chains (``reserved``)."""
+
     def __init__(self) -> None:
         self.pos: dict[int, tuple[int, int]] = {}
         self.taken: dict[tuple[int, int], int] = {}
         self.reserved: set[tuple[int, int]] = set()
 
-    def put(self, qubit: int, xy: tuple[int, int]) -> None:
-        if xy in self.taken:
-            raise PlacementOverflowError(
-                f"qubits {self.taken[xy]} and {qubit} both at {xy}")
-        if xy in self.reserved:
-            raise PlacementOverflowError(f"qubit {qubit} on reserved chain cell {xy}")
-        self.taken[xy] = qubit
-        self.pos[qubit] = xy
-
-    def put_near(self, qubit: int, candidates: list[tuple[int, int]]) -> None:
+    def put_near(self, qubit: int, candidates: Iterable[tuple[int, int]]) -> None:
+        """Put ``qubit`` on the first candidate cell that is neither taken
+        nor reserved; ``candidates`` may be any iterable, infinite too."""
+        taken, reserved = self.taken, self.reserved
+        first = None
         for xy in candidates:
-            if xy not in self.taken and xy not in self.reserved:
-                self.put(qubit, xy)
+            if xy not in taken and xy not in reserved:
+                taken[xy], self.pos[qubit] = qubit, xy
                 return
-        raise PlacementOverflowError(f"no free cell near {candidates[0]} for qubit {qubit}")
+            if first is None:
+                first = xy
+        raise PlacementOverflowError(f"no free cell near {first} for qubit {qubit}")
 
 
 def _up_ladder(xy: tuple[int, int], tries: int = 24) -> list[tuple[int, int]]:
@@ -203,7 +205,7 @@ def place_htree(circuit: Circuit) -> GridPlacement:
     p = circuit.params
     D = p.tree_depth
     pl = _Placer()
-    pos, taken, reserved = pl.pos, pl.taken, pl.reserved
+    pos, taken, reserved, put_near = pl.pos, pl.taken, pl.reserved, pl.put_near
     tree = [[circuit.routers[(level, j, 0)] for j in range(1 << level)]
             for level in range(D)]
 
@@ -222,8 +224,7 @@ def place_htree(circuit: Circuit) -> GridPlacement:
 
     # pass 2: quadruples (ports face their children; t points away from the
     # parent; contested spots fall back to free neighbors of the in qubit),
-    # then the I/O cluster, whose preferred spots follow the figure; nothing
-    # is reserved yet, so a cell is free when it is not taken
+    # then the I/O cluster, whose preferred spots follow the figure
     for cs, tps, routers in zip(centers, to_parent, tree):
         for c, (tx, ty), r in zip(cs, tps, routers):
             cx, cy = c
@@ -232,16 +233,9 @@ def place_htree(circuit: Circuit) -> GridPlacement:
             if c in taken:
                 raise PlacementOverflowError(f"qubits {taken[c]} and {r.inp} both at {c}")
             taken[c], pos[r.inp] = r.inp, c
-            for q, candidates in ((r.left, (lpref, away, toward)),
-                                  (r.right, (rpref, away, toward)),
-                                  (r.t, (away, lpref, rpref, toward))):
-                for xy in candidates:
-                    if xy not in taken:
-                        break
-                else:
-                    raise PlacementOverflowError(
-                        f"no free cell near {candidates[0]} for qubit {q}")
-                taken[xy], pos[q] = q, xy
+            put_near(r.left, (lpref, away, toward))
+            put_near(r.right, (rpref, away, toward))
+            put_near(r.t, (away, lpref, rpref, toward))
     _place_cluster(pl, circuit, (0, 0))
 
     # pass 3: best-effort GHZ-chain reservation along the free straight
@@ -262,7 +256,7 @@ def place_htree(circuit: Circuit) -> GridPlacement:
 
     # memory cells at leaf ports (separate qubits only when gamma = 1)
     if D == 0:
-        pl.put_near(circuit.reg("cells")[0], [(0, 0), (-1, 0), (1, 0)])
+        put_near(circuit.reg("cells")[0], ((0, 0), (-1, 0), (1, 0)))
     elif p.gamma == 1:
         for j, cell in enumerate(circuit.reg("cells")):
             r = tree[-1][j >> 1]
@@ -278,21 +272,11 @@ def place_htree(circuit: Circuit) -> GridPlacement:
             ladder += ((px + 2 * dx, py + 2 * dy), (px + dx + ux, py + dy + uy),
                        (px + dx - ux, py + dy - uy), (px + 2 * ux, py + 2 * uy),
                        (px - 2 * ux, py - 2 * uy))
-            for xy in ladder:
-                if xy not in taken and xy not in reserved:
-                    break
-            else:
-                raise PlacementOverflowError(
-                    f"no free cell near {ladder[0]} for qubit {cell}")
-            taken[xy], pos[cell] = cell, xy
+            put_near(cell, ladder)
     if "select_nodes" in circuit.registers:
         for node, cell in zip(circuit.reg("select_nodes"), circuit.reg("cells")):
             cx, cy = pos[cell]
-            for dx, dy in _select_offsets():
-                xy = (cx + dx, cy + dy)
-                if xy not in taken and xy not in reserved:
-                    break
-            taken[xy], pos[node] = node, xy
+            put_near(node, ((cx + dx, cy + dy) for dx, dy in _select_offsets()))
     _place_strip(pl, circuit, max(map(itemgetter(1), pos.values())), 0)
 
     # shift content to col >= 1 (spare margin column, matching the figures)
@@ -315,7 +299,6 @@ def _grid_arrays(placement: GridPlacement, n_qubits: int) -> tuple[np.ndarray, n
 def classify_links(
     circuit: Circuit,
     placement: GridPlacement,
-    distillation: bool = True,
     free_levels: float = 0.0,
 ) -> tuple[list[LongRangeLink], dict[int, LongRangeLink]]:
     """Split every multi-qubit gate into local vs long-range-with-length-m.
@@ -328,7 +311,9 @@ def classify_links(
     verdicts depend on the operands alone, so each distinct multi-qubit
     row of ``gate_arrays.distinct`` is classified once, in one numpy pass
     with its -1 padding masked out, and reaches its gates through
-    ``gate_arrays.op``; links come in gate order.
+    ``gate_arrays.op``; links come in gate order. A link whose level is
+    below ``free_levels`` rides the free budget (FreeBudget); every other
+    link is a DistilledBell.
     """
     n = circuit.n_qubits
     view = circuit.gate_arrays
@@ -366,9 +351,8 @@ def classify_links(
     gate = np.flatnonzero(k >= 0)
     k = k[gate]
     levels = [None if lv < 0 else lv for lv in level.tolist()]
-    rest = LinkResource.DISTILLED.value if distillation else LinkResource.GHZ.value
-    resource = [LinkResource.FREE.value if lv is not None and lv < free_levels else rest
-                for lv in levels]
+    free, rest = LinkResource.FREE.value, LinkResource.DISTILLED.value
+    resource = [free if lv is not None and lv < free_levels else rest for lv in levels]
     kl = k.tolist()
     # tuple.__new__ skips the NamedTuple's Python-level __new__
     index = gate.tolist()
@@ -400,16 +384,10 @@ def level_pitches(circuit: Circuit, placement: GridPlacement) -> dict[int, list[
 def long_range_error(link: LongRangeLink, rates: ErrorRates) -> float:
     """Per-operation failure probability of a long-range gate.
 
-    The one place a link's resource picks its error: a budgeted link is
-    free, an explicit eps_l applies to every other link, a GHZ chain fails
-    with min(m * eps_q, 1) and a distilled Bell pair as
-    :meth:`ErrorRates.long_range`.
+    A link inside the free budget never fails; every other link fails as
+    :meth:`ErrorRates.long_range` gives for its length m.
     """
-    if link.resource == LinkResource.FREE.value:
-        return 0.0
-    if link.resource == LinkResource.GHZ.value and rates.eps_l is None:
-        return min(link.m * rates.eps_q, 1.0)
-    return rates.long_range(link.m)
+    return 0.0 if link.resource == LinkResource.FREE.value else rates.long_range(link.m)
 
 
 @dataclass

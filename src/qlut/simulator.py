@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -135,7 +135,7 @@ def _lane_bits(plane: int, lanes: int) -> np.ndarray:
 def run_basis(
     circuit: Circuit,
     init_bits: int,
-    events: dict[int, list[tuple[int, str]]] | None = None,
+    events: dict[int, Iterable[tuple[int, str]]] | None = None,
 ) -> tuple[int, int]:
     """Propagate one basis state; returns (bits, phase quadrant 0..3).
 
@@ -151,6 +151,7 @@ def run_basis(
     faults: LaneFaults = {}
     for slot, evs in (events or {}).items():
         try:
+            evs = list(evs)
             ok = 0 <= operator.index(slot) <= G and all(
                 0 <= operator.index(q) < nq and p in _PAULI_MASKS for q, p in evs)
         except (TypeError, ValueError):
@@ -618,25 +619,27 @@ def _harmful_fractions(circuit: Circuit, locations: list[Location]) -> list[floa
     return [fraction[i] for i in of]
 
 
-def harmful_weight_by_rate(circuit: Circuit, locations: list[Location]) -> dict[str, float]:
+def harmful_weight_by_rate(circuit: Circuit, locations: Iterable[Location]) -> dict[str, float]:
     """First-order infidelity slope per error type.
 
     For each location the harmful fraction of its (qubit, Pauli) variants is
     averaged over all N addresses; the per-type slope is the sum over that
     type's locations, so MC infidelity ~= sum_type rate * slope.
     """
+    locations = list(locations)
     slopes: dict[str, float] = {}
     for loc, harmful in zip(locations, _harmful_fractions(circuit, locations)):
         slopes[loc.rate_key] = slopes.get(loc.rate_key, 0.0) + harmful
     return slopes
 
 
-def first_order_infidelity(circuit: Circuit, locations: list[Location]) -> float:
+def first_order_infidelity(circuit: Circuit, locations: Iterable[Location]) -> float:
     """Exact first-order expectation sum(rate * harmful fraction).
 
     Unlike the per-type slopes this handles mixed per-location rates, e.g.
     derived long-range errors that grow with the link length.
     """
+    locations = list(locations)
     return sum(loc.rate * harmful for loc, harmful in
                zip(locations, _harmful_fractions(circuit, locations)))
 
@@ -715,8 +718,8 @@ def _phase_harmful(circuit: Circuit, sites: list[tuple[int, int]]) -> np.ndarray
 def containment_experiment(
     circuit: Circuit,
     address: int,
-    sites: list[tuple[int, int]] | None = None,
-    paulis: tuple[str, ...] = _PAULIS,
+    sites: Iterable[tuple[int, int]] | None = None,
+    paulis: Iterable[str] = _PAULIS,
     check_superposition: bool = False,
 ) -> ContainmentReport:
     """Inject each single Pauli at each (slot, qubit) site and classify it.
@@ -750,6 +753,7 @@ def containment_experiment(
         raise InvalidParamsError(f"address {address!r} is not an integer") from None
     if not 0 <= address < N:
         raise InvalidParamsError(f"address {address} outside [0, {N})")
+    paulis = tuple(paulis)
     for pauli in paulis:
         if pauli not in _PAULIS:
             raise InvalidParamsError(f"unknown Pauli {pauli!r}, expected X, Y or Z")
@@ -758,6 +762,7 @@ def containment_experiment(
         qubit = np.tile(np.arange(nq), G + 1)
     else:
         try:
+            sites = list(sites)
             pairs = set(map(len, sites)) <= {2}
             site = np.fromiter(map(operator.index, itertools.chain.from_iterable(sites)),
                                np.int64)

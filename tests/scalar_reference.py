@@ -13,7 +13,7 @@ superposition verdicts off one Y per class.
 The per-gate loops are the ones the array-speed instance pipeline replaces:
 ``emit`` one gate at a time with op lists rebuilt per repetition and one
 ``new_qubit`` call per qubit, the H-tree placement through dicts keyed by
-(level, pos) and one ``_Placer`` call per cell, link
+(level, pos) and one checked ``put`` per cell, link
 classification through ``GridPlacement.distance`` per operand pair, the
 schedule walk over per-qubit dicts, and the gate-list export with one
 join per gate. ``trial_log`` writes the trial log with ``json.dumps``.
@@ -464,8 +464,7 @@ def is_local(placement: GridPlacement, qubits: tuple[int, ...]) -> bool:
     return False
 
 
-def classify_links(circuit: Circuit, placement: GridPlacement, distillation: bool = True,
-                   free_levels: float = 0.0):
+def classify_links(circuit: Circuit, placement: GridPlacement, free_levels: float = 0.0):
     """One gate at a time, with ``GridPlacement.distance`` per operand pair."""
     links: list[LongRangeLink] = []
     by_gate: dict[int, LongRangeLink] = {}
@@ -480,10 +479,8 @@ def classify_links(circuit: Circuit, placement: GridPlacement, distillation: boo
         level = levels[0] if len(levels) >= 2 else None
         if level is not None and level < free_levels:
             resource = LinkResource.FREE
-        elif distillation:
-            resource = LinkResource.DISTILLED
         else:
-            resource = LinkResource.GHZ
+            resource = LinkResource.DISTILLED
         link = LongRangeLink(idx, src, dst, m, level, resource.value)
         links.append(link)
         by_gate[idx] = link
@@ -564,6 +561,32 @@ def _neg(d: tuple[int, int]) -> tuple[int, int]:
     return (-d[0], -d[1])
 
 
+class CheckedPlacer:
+    """The placement state of ``layout._Placer`` with a checked ``put`` per
+    cell: a taken or reserved cell is a PlacementOverflowError."""
+
+    def __init__(self) -> None:
+        self.pos: dict[int, tuple[int, int]] = {}
+        self.taken: dict[tuple[int, int], int] = {}
+        self.reserved: set[tuple[int, int]] = set()
+
+    def put(self, qubit: int, xy: tuple[int, int]) -> None:
+        if xy in self.taken:
+            raise PlacementOverflowError(
+                f"qubits {self.taken[xy]} and {qubit} both at {xy}")
+        if xy in self.reserved:
+            raise PlacementOverflowError(f"qubit {qubit} on reserved chain cell {xy}")
+        self.taken[xy] = qubit
+        self.pos[qubit] = xy
+
+    def put_near(self, qubit: int, candidates: list[tuple[int, int]]) -> None:
+        for xy in candidates:
+            if xy not in self.taken and xy not in self.reserved:
+                self.put(qubit, xy)
+                return
+        raise PlacementOverflowError(f"no free cell near {candidates[0]} for qubit {qubit}")
+
+
 def reserve_free_between(pl, a: tuple[int, int], b: tuple[int, int]) -> None:
     """Reserve the straight chain cells between two points where free."""
     (ax, ay), (bx, by) = a, b
@@ -579,13 +602,13 @@ def reserve_free_between(pl, a: tuple[int, int], b: tuple[int, int]) -> None:
 
 def place_htree(circuit: Circuit) -> GridPlacement:
     """Router centers and directions in dicts keyed by (level, pos), and one
-    ``_Placer`` method call per placed qubit and per reserved segment."""
+    ``CheckedPlacer`` method call per placed qubit and per reserved segment."""
     if circuit.meta.get("family") not in ("tree", "select_swap"):
         raise InvalidParamsError(
             "planar placement covers single-word tree circuits")
     p = circuit.params
     D = p.tree_depth
-    pl = layout._Placer()
+    pl = CheckedPlacer()
     disp = layout._tree_displacements(D)
 
     # pass 1: rigid router centers and orientations (these carry the geometry)

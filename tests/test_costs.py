@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -276,3 +277,13 @@ def test_fit_exponent_degenerate_inputs():
         costs.fit_exponent([2, 4, 8], [1, 2, 3])
     with pytest.raises(DegenerateInputError):
         costs.fit_exponent([2, 4, 8, 16, 32], [1, 2, 3, 0, 5])
+    # a NaN or an inf on either side, which the positivity check lets through
+    sizes, values = [2, 4, 8, 16, 32], [1.0, 2.0, 3.0, 4.0, 5.0]
+    for bad in (math.nan, math.inf):
+        for i in range(5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateInputError, match="finite"):
+                    costs.fit_exponent(sizes[:i] + [bad] + sizes[i + 1:], values)
+                with pytest.raises(DegenerateInputError, match="finite"):
+                    costs.fit_exponent(sizes, values[:i] + [bad] + values[i + 1:])

@@ -56,17 +56,15 @@ def _assert_same_instance(fast, ref):
     if fast.meta.get("family") in ("tree", "select_swap"):
         placement = place_htree(fast)
         for k in (0, 1, 2):
-            for distillation in (True, False):
-                links, by_gate = classify_links(fast, placement, distillation, k)
-                ref_links, ref_by_gate = scalar_reference.classify_links(
-                    ref, placement, distillation, k)
-                assert links == ref_links
-                assert list(by_gate.items()) == list(ref_by_gate.items())
-                for depth in (False, True):
-                    want = scalar_reference.build_schedule(ref, ref_by_gate, depth)
-                    _assert_same_schedule(build_schedule(fast, by_gate, depth), want)
-                assert (export_gate_list(fast, by_gate)
-                        == scalar_reference.export_gate_list(ref, ref_by_gate))
+            links, by_gate = classify_links(fast, placement, k)
+            ref_links, ref_by_gate = scalar_reference.classify_links(ref, placement, k)
+            assert links == ref_links
+            assert list(by_gate.items()) == list(ref_by_gate.items())
+            for depth in (False, True):
+                want = scalar_reference.build_schedule(ref, ref_by_gate, depth)
+                _assert_same_schedule(build_schedule(fast, by_gate, depth), want)
+            assert (export_gate_list(fast, by_gate)
+                    == scalar_reference.export_gate_list(ref, ref_by_gate))
     assert export_gate_list(fast) == scalar_reference.export_gate_list(ref)
     assert (builders.build_uncompute(fast).gates
             == scalar_reference.build(builders.build_uncompute, ref).gates)
@@ -185,14 +183,12 @@ def test_random_gates_match_per_gate_reference(data):
     circuit = fast.build()
     placement = GridPlacement(coords=dict(enumerate(cells)), bounds=(4, 4))
     for k in (0, 1, 2):
-        for distillation in (True, False):
-            links, by_gate = classify_links(circuit, placement, distillation, k)
-            ref_links, ref_by_gate = scalar_reference.classify_links(
-                circuit, placement, distillation, k)
-            assert links == ref_links
-            assert list(by_gate.items()) == list(ref_by_gate.items())
-            assert (export_gate_list(circuit, by_gate)
-                    == scalar_reference.export_gate_list(circuit, ref_by_gate))
+        links, by_gate = classify_links(circuit, placement, k)
+        ref_links, ref_by_gate = scalar_reference.classify_links(circuit, placement, k)
+        assert links == ref_links
+        assert list(by_gate.items()) == list(ref_by_gate.items())
+        assert (export_gate_list(circuit, by_gate)
+                == scalar_reference.export_gate_list(circuit, ref_by_gate))
 
 
 def test_schedule_counts_branch_swaps_in_either_operand_order(rng):
@@ -221,11 +217,10 @@ def test_schedule_matches_walk_on_deep_trees(N, lam, gamma):
     circ = builders.build_lookup(derive_params(N, lam, gamma), table)
     placement = place_htree(circ)
     for k in (0, 1):
-        for distillation in (True, False):
-            _, by_gate = classify_links(circ, placement, distillation, k)
-            for depth in (False, True):
-                _assert_same_schedule(build_schedule(circ, by_gate, depth),
-                                      scalar_reference.build_schedule(circ, by_gate, depth))
+        _, by_gate = classify_links(circ, placement, k)
+        for depth in (False, True):
+            _assert_same_schedule(build_schedule(circ, by_gate, depth),
+                                  scalar_reference.build_schedule(circ, by_gate, depth))
 
 
 @pytest.mark.parametrize("circuit", [

@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 import scalar_reference
 from conftest import random_table
 from qlut.builders import build_reference, build_unified_lookup
-from qlut.errors import InvalidParamsError
+from qlut import layout
+from qlut.errors import InvalidParamsError, PlacementOverflowError
 from qlut.ir import CircuitBuilder, GateKind, QubitInfo, Role, Stage
 from qlut.layout import (
     GridPlacement, LinkResource, LongRangeLink, build_schedule, classify_links,
@@ -70,6 +73,39 @@ def test_area_linear_up_to_4096():
     assert ratios[6] <= ratios[4] * 1.5  # recursive construction stays tight
 
 
+def test_free_cell_search_skips_taken_and_reserved_cells():
+    # the one free-cell search: every qubit but the rigid router centers
+    pl = layout._Placer()
+    pl.taken[(0, 0)], pl.pos[7] = 7, (0, 0)
+    pl.reserved.add((1, 0))
+    pl.put_near(3, [(0, 0), (1, 0), (2, 0), (3, 0)])
+    assert pl.pos == {7: (0, 0), 3: (2, 0)}
+    assert pl.taken == {(0, 0): 7, (2, 0): 3}
+    assert pl.reserved == {(1, 0)}
+    # candidates from a generator, read only up to the first free cell
+    seen = []
+
+    def ladder():
+        for y in range(5):
+            seen.append((0, y))
+            yield (0, y)
+    pl.reserved.add((0, 1))
+    pl.put_near(4, ladder())
+    assert pl.pos[4] == (0, 2) and pl.taken[(0, 2)] == 4
+    assert seen == [(0, 0), (0, 1), (0, 2)]
+    # an infinite generator works as long as some cell is free
+    pl.put_near(5, ((x, 9) for x in itertools.count(-1)))
+    assert pl.pos[5] == (-1, 9)
+    # no free candidate: the message names the first candidate and the qubit,
+    # and the state is unchanged
+    before = (dict(pl.pos), dict(pl.taken), set(pl.reserved))
+    for candidates in ([(1, 0), (0, 0), (2, 0)], iter([(1, 0), (0, 0), (2, 0)])):
+        with pytest.raises(PlacementOverflowError,
+                           match=re.escape("no free cell near (1, 0) for qubit 8")):
+            pl.put_near(8, candidates)
+        assert (pl.pos, pl.taken, pl.reserved) == before
+
+
 def test_placement_injective_and_off_reserved(bb16):
     _, placement, _, _ = bb16
     assert len(set(placement.coords.values())) == len(placement.coords)
@@ -128,8 +164,8 @@ def test_long_range_error_modes():
     assert long_range_error(link, rates2) == pytest.approx(0.005)
     free = LongRangeLink(0, 1, 2, m=50, level=0, resource="FreeBudget")
     assert long_range_error(free, rates) == 0.0
-    ghz = LongRangeLink(0, 1, 2, m=5, level=0, resource="GhzChain")
-    assert long_range_error(ghz, rates) == pytest.approx(0.05)
+    bare = ErrorRates(eps_q=0.01, eps_f=0.0)
+    assert long_range_error(link, bare) == pytest.approx(0.05)
 
 
 def test_long_range_error_monotone_capped(rng):
@@ -259,7 +295,7 @@ def test_classify_links_gives_every_gate_of_a_repeated_tuple_its_verdict():
     # operand tuples replayed across stages and repetitions, as the builders
     # replay their op lists: every gate of a far tuple is a link, whatever
     # its kind, and the verdicts match the per-gate reference at every free
-    # budget, with and without distillation
+    # budget
     b = CircuitBuilder()
     # q0..q2 on tree levels 0..2, q3 and q4 on level 1, q5 off the tree
     for level in (0, 1, 2, 1, 1, -1):
@@ -280,17 +316,14 @@ def test_classify_links_gives_every_gate_of_a_repeated_tuple_its_verdict():
     # SWAP and CNOT (0, 1) share one operand tuple
     assert len(circ.gate_arrays.distinct) == len(far) + len(local) - 1
     for k in (0, 1, 2):
-        for distillation in (True, False):
-            links, by_gate = classify_links(circ, placement, distillation, k)
-            want, want_by_gate = scalar_reference.classify_links(
-                circ, placement, distillation, k)
-            assert links == want
-            assert list(by_gate.items()) == list(want_by_gate.items())
-            assert len(links) == 2 * 7 * len(far)
-            assert {link.gate_index for link in links} == {
-                i for i, row in enumerate(circ.rows) if (row[0], row[1]) in far}
-            swap = next(link for link in links if circ.rows[link.gate_index][0] is GateKind.SWAP)
-            assert (swap.source, swap.target, swap.m, swap.level) == (0, 1, 5, 0)
-            assert swap.resource == (LinkResource.FREE.value if k >= 1
-                                     else LinkResource.DISTILLED.value if distillation
-                                     else LinkResource.GHZ.value)
+        links, by_gate = classify_links(circ, placement, k)
+        want, want_by_gate = scalar_reference.classify_links(circ, placement, k)
+        assert links == want
+        assert list(by_gate.items()) == list(want_by_gate.items())
+        assert len(links) == 2 * 7 * len(far)
+        assert {link.gate_index for link in links} == {
+            i for i, row in enumerate(circ.rows) if (row[0], row[1]) in far}
+        swap = next(link for link in links if circ.rows[link.gate_index][0] is GateKind.SWAP)
+        assert (swap.source, swap.target, swap.m, swap.level) == (0, 1, 5, 0)
+        assert swap.resource == (LinkResource.FREE.value if k >= 1
+                                 else LinkResource.DISTILLED.value)
