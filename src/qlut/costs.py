@@ -238,8 +238,14 @@ class ExponentFit:
 
 def fit_exponent(sizes, values) -> ExponentFit:
     """Least-squares slope of log2(value) against log2(N), with a 95% CI."""
-    sizes = np.asarray(sizes, dtype=float)
-    values = np.asarray(values, dtype=float)
+    if np.iscomplexobj(sizes) or np.iscomplexobj(values):
+        # a complex array would cast to float with only a ComplexWarning
+        raise DegenerateInputError("sizes and values must be real numbers")
+    try:
+        sizes = np.asarray(sizes, dtype=float)
+        values = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DegenerateInputError("sizes and values must be real numbers") from None
     if sizes.shape != values.shape or sizes.size < 5:
         raise DegenerateInputError("need at least 5 (N, value) pairs")
     if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(values))):

@@ -27,11 +27,10 @@ run keeps its address register (every built lookup does; any other is an
 InvalidParamsError), the superposition check flags every basis-benign X or
 Y, whose own lane keeps its register but misses its ideal output (the gates
 are a permutation), so that lane matches no ideal output; and a Z iff its
-qubit's fault-free bit b varies over the addresses, which one Y per class
-reads off the ``hi`` phase plane. Those Z verdicts and the register check
-do not depend on the query's address, so they are computed once per
-circuit and kept on it (``_AnalysisState``); the basis verdicts at an
-address and the first-order counts are computed on every call.
+qubit's fault-free bit b varies over the addresses. One traced fault-free
+pass over all N addresses (``_z_trace``), run once per circuit and kept on
+it, reads b before every gate and after the last: every Z verdict and the
+register check. The basis verdicts and first-order counts are per call.
 ``run_basis`` (one lane) is the plain state-propagation entry point.
 
 One function, ``_site_table``, makes the fault sites, as numpy arrays read
@@ -78,14 +77,18 @@ LaneFaults = dict[int, list[tuple[int, int, int, int]]]
 
 
 def run_lanes(circuit: Circuit, planes: list[int], lanes: int,
-              faults: LaneFaults | None = None) -> tuple[int, int]:
+              faults: LaneFaults | None = None,
+              trace: list[bool] | None = None) -> tuple[int, int]:
     """Run ``circuit`` on ``lanes`` basis states at once; the one gate loop.
 
     ``planes[q]`` holds qubit q of every lane (bit i is lane i) and is
     updated in place. ``faults[slot]`` entries act before gate ``slot``
     (slot == len(gates): after the last gate) on the lanes of each mask.
     Returns the global phase quadrant as two lane planes (lo, hi): lane i
-    ends with phase 1j ** (lo_i + 2 * hi_i).
+    ends with phase 1j ** (lo_i + 2 * hi_i). With a ``trace`` list the pass
+    stops before every gate and appends, per operand of that gate (after
+    the last gate: per qubit), whether its plane varies over the lanes
+    (is neither 0 nor all ones); no plane is kept.
     """
     full = (1 << lanes) - 1
     faults = faults or {}
@@ -96,6 +99,8 @@ def run_lanes(circuit: Circuit, planes: list[int], lanes: int,
                                          GateKind.SWAP, GateKind.CSWAP, GateKind.CCNOT)
     stops = sorted(slot for slot in faults if slot < len(rows))
     stops.append(len(rows))
+    if trace is not None:
+        stops = range(len(rows) + 1)
     pos = 0
     for stop in stops:
         for g in rows[pos:stop]:
@@ -123,6 +128,9 @@ def run_lanes(circuit: Circuit, planes: list[int], lanes: int,
             hi ^= (lo & y) ^ (b & (y | z))
             lo ^= y
             s[q] = b ^ (x | y)
+        if trace is not None:
+            qs = rows[stop][1] if stop < len(rows) else range(len(s))
+            trace += [0 < s[q] < full for q in qs]
     return lo, hi
 
 
@@ -640,8 +648,8 @@ def first_order_infidelity(circuit: Circuit, locations: Iterable[Location]) -> f
     derived long-range errors that grow with the link length.
     """
     locations = list(locations)
-    return sum(loc.rate * harmful for loc, harmful in
-               zip(locations, _harmful_fractions(circuit, locations)))
+    return sum((loc.rate * harmful for loc, harmful in
+                zip(locations, _harmful_fractions(circuit, locations))), 0.0)
 
 
 @dataclass
@@ -653,66 +661,50 @@ class ContainmentReport:
     phase_harmful: list[tuple[int, int, str]]  # benign on basis, harmful in superposition
 
 
-@dataclass
-class _AnalysisState:
-    """What the analyses of one circuit share across calls: facts that
-    depend on its gates and registers alone, not on a call's address or
-    sites. Kept on the circuit (:func:`_analysis_state`) and filled as
-    callers ask.
+def _z_trace(circuit: Circuit) -> tuple[np.ndarray, np.ndarray] | None:
+    """A traced fault-free pass (``run_lanes``) over all N addresses.
 
-    ``keeps_address`` is whether the fault-free run keeps the address
-    register at every address (None until first asked); ``z_harmful`` maps
-    each (slot, qubit) site asked about so far to its
-    :func:`_phase_harmful` verdict. Both are deterministic and only ever
-    set or added to, so two threads on one circuit can at worst both
-    compute the same value: a circuit stays safe to share across threads.
+    None if it changes the address register, else (codes, harmful) per
+    stop, ascending by the code qubit * (len(gates) + 1) + slot (slot
+    len(gates): after the last gate): whether the qubit's bit there varies.
     """
-    keeps_address: bool | None = None
-    z_harmful: dict[tuple[int, int], bool] = field(default_factory=dict)
-
-
-def _analysis_state(circuit: Circuit) -> _AnalysisState:
-    """``circuit``'s :class:`_AnalysisState`, made on first use."""
-    state = circuit.__dict__.get("_analysis_state")
-    if state is None:
-        # setdefault is atomic: concurrent first calls keep one state
-        state = circuit.__dict__.setdefault("_analysis_state", _AnalysisState())
-    return state
+    N, G, view = circuit.params.N, len(circuit.rows), circuit.gate_arrays
+    address = circuit.reg("address")
+    want = _lane_planes(np.arange(N), len(address), True)
+    planes = [0] * circuit.n_qubits
+    for q, plane in zip(address, want):
+        planes[q] = plane
+    trace: list[bool] = []
+    run_lanes(circuit, planes, N, trace=trace)
+    if any(planes[q] != plane for q, plane in zip(address, want)):
+        return None
+    codes = np.concatenate([view.qubit * (G + 1) + np.repeat(np.arange(G), view.arity),
+                            np.arange(circuit.n_qubits) * (G + 1) + G])
+    order = np.argsort(codes)
+    return codes[order], np.array(trace, dtype=bool)[order]
 
 
 def _phase_harmful(circuit: Circuit, sites: list[tuple[int, int]]) -> np.ndarray:
     """Per site: does a Z there lower a uniform-superposition query's
     overlap with the ideal output below 1?
 
-    A Z adds the phase 2b, b the qubit's fault-free bit there, and keeps
-    every bit, so it is harmful iff b varies over the addresses. One Y per
-    site finds b: it adds the phase 1 + 2b, so with one fault per lane its
-    ``hi`` plane is b. X and Y need no pass (:func:`containment_experiment`)
-    when the fault-free run keeps the address register; any other circuit
-    is an InvalidParamsError. Neither answer depends on a call's address,
-    so both are computed once per circuit: the fault-free N-lane check on
-    the first call, and one Y per site (in passes of whole address groups)
-    the first time a call asks about that site (:class:`_AnalysisState`).
+    A Z adds the phase 2b, b the qubit's fault-free bit there (at its next
+    stop of :func:`_z_trace`), and keeps every bit, so it is harmful iff b
+    varies over the addresses. A circuit whose fault-free run moves the
+    address register is an InvalidParamsError. The trace runs once per
+    circuit and is kept on it as one value, set whole, so two threads on
+    one circuit can at worst both run it.
     """
-    N = circuit.params.N
-    addresses = np.arange(N)
-    state = _analysis_state(circuit)
-    if state.keeps_address is None:
-        want = _query_planes(circuit, addresses)
-        _, planes, _, _ = _query_lanes(circuit, N, want)
-        state.keeps_address = all(planes[q] == p for q, p in zip(circuit.reg("address"), want))
-    if not state.keeps_address:
+    if "_z_trace" not in circuit.__dict__:
+        circuit.__dict__.setdefault("_z_trace", _z_trace(circuit))
+    trace = circuit.__dict__["_z_trace"]
+    if trace is None:
         raise InvalidParamsError(
             "the superposition check needs a circuit whose fault-free run keeps "
             "its address register")
-    known = state.z_harmful
-    new = [site for site in dict.fromkeys(sites) if site not in known]
-    if new:
-        high = np.zeros(len(new), dtype=np.int64)
-        for first, k, _, _, _, hi in _query_passes(circuit, new, "Y", addresses):
-            high[first:first + k] = _lane_bits(hi, k * N).reshape(k, N).sum(axis=1)
-        known.update(zip(new, ((high > 0) & (high < N)).tolist()))
-    return np.array([known[site] for site in sites], dtype=bool)
+    codes, harmful = trace
+    site = np.array(sites, dtype=np.int64).reshape(-1, 2)
+    return harmful[codes.searchsorted(site[:, 1] * (len(circuit.rows) + 1) + site[:, 0])]
 
 
 def containment_experiment(
@@ -742,9 +734,9 @@ def containment_experiment(
     as the ideal map keeps the register it matches no other ideal output,
     so the overlap is at most (N - 1) / N. A basis-benign Z is flagged iff
     its qubit's fault-free bit varies over the addresses
-    (:func:`_phase_harmful`, one Y per class). Those Z verdicts and the
-    register check do not depend on ``address``, so they are computed once
-    per circuit: a sweep over the addresses runs each class's Y once.
+    (:func:`_phase_harmful`). Those Z verdicts and the register check do not
+    depend on ``address``: one traced fault-free pass per circuit gives them
+    all, so a sweep over the addresses runs it once.
     """
     N, G, nq = circuit.params.N, len(circuit.rows), circuit.n_qubits
     try:

@@ -8,8 +8,8 @@ per-site loop over the block stream's hits, with the idle runs merged from
 a table built one layer at a time. The lane references run every
 (site, Pauli) injection as its own lanes and count a superposition
 query's overlap over all four phases, where the exhaustive analyses query
-one X lane per class of equivalent single faults and read X, Y and Z's
-superposition verdicts off one Y per class.
+one X lane per class of equivalent single faults and read the Z
+superposition verdicts off one traced fault-free pass per circuit.
 The per-gate loops are the ones the array-speed instance pipeline replaces:
 ``emit`` one gate at a time with op lists rebuilt per repetition and one
 ``new_qubit`` call per qubit, the H-tree placement through dicts keyed by

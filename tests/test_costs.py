@@ -287,3 +287,13 @@ def test_fit_exponent_degenerate_inputs():
                     costs.fit_exponent(sizes[:i] + [bad] + sizes[i + 1:], values)
                 with pytest.raises(DegenerateInputError, match="finite"):
                     costs.fit_exponent(sizes, values[:i] + [bad] + values[i + 1:])
+    # a complex number on either side, in a list (a raw TypeError before)
+    # or in a complex array (cast to float, its imaginary part dropped)
+    for i in range(5):
+        for bad in (sizes[:i] + [5j] + sizes[i + 1:], np.array(sizes) + 1j * (np.arange(5) == i)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateInputError, match="real numbers"):
+                    costs.fit_exponent(bad, values)
+                with pytest.raises(DegenerateInputError, match="real numbers"):
+                    costs.fit_exponent(sizes, bad)

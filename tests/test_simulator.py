@@ -457,8 +457,8 @@ def test_phase_check_when_the_ideal_map_moves_the_address():
 
 def test_lane_passes_hold_one_address_group_at_five_lanes(monkeypatch):
     # five lanes per pass: a 16-address group does not fit, so each pass of
-    # the superposition and first-order analyses holds exactly one whole
-    # group, and the one-address basis passes hold five
+    # the first-order analyses holds exactly one whole group, and the
+    # one-address basis passes hold five
     monkeypatch.setattr(simulator, "_MAX_LANES", 5)
     circ = build_unified_lookup(derive_params(16, 4, 2),
                                 random_table(np.random.default_rng(3), 16))
@@ -486,45 +486,73 @@ def _classes_of(circ, sites):
 
 @pytest.fixture
 def sent(monkeypatch):
-    """The (Pauli, lanes) of every query pass the test runs, in order."""
+    """The (Pauli, lanes) of every query pass the test runs, in order, and
+    ("trace", lanes) for every traced fault-free pass."""
     passes = []
-    query_lanes = simulator._query_lanes
+    query_lanes, run_lanes = simulator._query_lanes, simulator.run_lanes
 
     def counting(circuit, lanes, want, masks=None, pauli="X"):
         passes.append((pauli, lanes))
         return query_lanes(circuit, lanes, want, masks, pauli)
 
+    def tracing(circuit, planes, lanes, faults=None, trace=None):
+        if trace is not None:
+            passes.append(("trace", lanes))
+        return run_lanes(circuit, planes, lanes, faults, trace)
+
     monkeypatch.setattr(simulator, "_query_lanes", counting)
+    monkeypatch.setattr(simulator, "run_lanes", tracing)
     return passes
 
 
-def test_superposition_check_runs_one_y_per_fault_class(sent):
+def test_superposition_check_runs_one_fault_free_trace_and_no_y(sent):
     # one benchmark unified chunk: the basis pass sends one X per
     # (next-gate slot, qubit) class plus the fault-free lane, and the
-    # superposition check one Y per class times the 16 addresses after the
-    # 16-lane fault-free pass that gives the ideal outputs
+    # superposition check one 16-lane fault-free trace, which gives both the
+    # register check and every Z verdict, and no Y pass
     bench = workloads.Containment(qlut, 0, None, {})
     circ, sites = bench.uni, bench.uni_sites[0]
     containment_experiment(circ, 5, sites=sites, check_superposition=True)
     assert len(_classes_of(circ, sites)) == 35
-    assert sent == [("X", 35 + 1), ("X", 16), ("Y", 35 * 16)]
+    assert sent == [("X", 35 + 1), ("trace", 16)]
 
 
-def test_superposition_sweep_runs_each_y_and_the_register_check_once(sent):
-    # the Z verdicts and the fault-free register check do not depend on the
-    # address, so a sweep over all 16 addresses of one benchmark unified
-    # chunk sends one Y per class and one 16-lane fault-free pass in all,
-    # and a second chunk sends a Y only for the classes the first lacked
+def test_superposition_sweep_traces_each_circuit_once(sent):
+    # the Z verdicts and the register check do not depend on the address or
+    # the sites, so a sweep over all 16 addresses of one benchmark unified
+    # chunk traces the circuit once in all, and a second chunk with classes
+    # the first lacked runs only its basis pass
     bench = workloads.Containment(qlut, 0, None, {})
     circ, first, second = bench.uni, bench.uni_sites[0], bench.uni_sites[1]
     for address in random.Random(5).sample(range(16), 16):
         containment_experiment(circ, address, sites=first, check_superposition=True)
-    assert sent == [("X", 36), ("X", 16), ("Y", 35 * 16)] + [("X", 36)] * 15
+    assert sent == [("X", 36), ("trace", 16)] + [("X", 36)] * 15
     del sent[:]
     containment_experiment(circ, 3, sites=first + second, check_superposition=True)
     new = _classes_of(circ, second) - _classes_of(circ, first)
     assert 0 < len(new) < len(_classes_of(circ, second))
-    assert sent == [("X", len(_classes_of(circ, first + second)) + 1), ("Y", len(new) * 16)]
+    assert sent == [("X", len(_classes_of(circ, first + second)) + 1)]
+
+
+def test_traced_z_verdicts_match_one_y_per_fault_class():
+    # the rule the trace replaced: a Y at a class adds the phase 1 + 2b, so
+    # with one fault per lane its ``hi`` plane is b, and the Z there is
+    # harmful iff b varies over the N addresses. Every class of every
+    # _lane_shapes() circuit and of the benchmark unified circuit
+    bench = workloads.Containment(qlut, 0, None, {})
+    circuits = [circ for circ, _ in _shape_circuits(np.random.default_rng(26))]
+    verdicts = set()
+    for circ in circuits + [bench.uni]:
+        N, G, nq = circ.params.N, len(circ.gates), circ.n_qubits
+        classes, _ = simulator._fault_classes(circ, np.repeat(np.arange(G + 1), nq),
+                                              np.tile(np.arange(nq), G + 1))
+        high = np.zeros(len(classes) - 1, dtype=np.int64)
+        for first, k, _, _, _, hi in simulator._query_passes(circ, classes[1:], "Y", range(N)):
+            high[first:first + k] = simulator._lane_bits(hi, k * N).reshape(k, N).sum(axis=1)
+        got = simulator._phase_harmful(circ, classes[1:])
+        assert got.tolist() == ((high > 0) & (high < N)).tolist()
+        verdicts.update(got.tolist())
+    assert verdicts == {False, True}
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=1)
@@ -621,10 +649,9 @@ def test_pauli_acts_as_at_the_next_gate_on_its_qubit(shape, data):
 @settings(derandomize=True, deadline=None, database=None, max_examples=150)
 @given(shape=st.sampled_from(_lane_shapes()), data=st.data())
 def test_y_moves_bits_as_x_and_adds_the_phase_of_z_plus_one(shape, data):
-    # the rule that lets one Y per class answer X, Y and Z in the
-    # superposition check: with b the qubit's bit at the slot in the
-    # fault-free run, Y gives X's bits with phase 1 + 2b and Z the
-    # fault-free bits with phase 2b
+    # the phase rule of the engine behind run_basis: with b the qubit's bit
+    # at the slot in the fault-free run, Y gives X's bits with phase 1 + 2b
+    # and Z the fault-free bits with phase 2b
     circ, _ = _lane_circuit(shape, data)
     slot = data.draw(st.integers(0, len(circ.gates)), label="slot")
     qubit = data.draw(st.integers(0, circ.n_qubits - 1), label="qubit")
@@ -801,6 +828,13 @@ def test_monte_carlo_rejects_a_negative_seed():
     circ = build_unified_lookup(derive_params(8, 4, 2), DataTable((0,) * 8, 1))
     with pytest.raises(InvalidParamsError, match="seed"):
         monte_carlo_infidelity(circ, _LANE_RATES, 10, -1)
+
+
+def test_first_order_of_no_locations_is_a_float_zero():
+    # the sum had no float start, so no locations gave the int 0
+    circ = build_reference("BucketBrigade", 4, DataTable((0, 1, 1, 0), 1))
+    got = first_order_infidelity(circ, [])
+    assert got == 0.0 and type(got) is float
 
 
 @pytest.mark.parametrize("trials, seed", [(2.5, 1), ("3", 1), (10, 1.5), (10, "1")])
