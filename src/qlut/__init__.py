@@ -1,8 +1,7 @@
 """qlut: parameterized quantum lookup-table circuits, layouts, and cost models."""
 
 from .builders import (
-    ReferenceKind, build_cnot_tree, build_cswap_router, build_lookup,
-    build_multi_bit_parallel, build_multi_bit_sequential, build_reference,
+    ReferenceKind, build_cnot_tree, build_cswap_router, build_lookup, build_reference,
     build_uncompute, build_unified_lookup,
 )
 from .costs import (

@@ -48,6 +48,12 @@ def _router_ops(r: RouterIds, reverse: bool = False) -> list[Op]:
     return ops[::-1] if reverse else ops
 
 
+def _heap_fanout_ops(nodes: tuple[int, ...] | list[int]) -> list[Op]:
+    """Copy ``nodes[0]`` into every node: node j gets a CNOT from its heap
+    parent (j - 1) // 2, in index order (a depth-log2 fan-out tree)."""
+    return [(CNOT, (nodes[(j - 1) // 2], nodes[j])) for j in range(1, len(nodes))]
+
+
 def _qubit_infos(role: Role, level: int, positions: Iterable[int],
                  word: int) -> Iterator[QubitInfo]:
     """One ``QubitInfo`` per position, each copied straight from the tuple
@@ -110,7 +116,8 @@ class _LinearRouterSweep:
 
 
 class _Assembler:
-    """Shared machinery for the unified builder and its multi-word variants."""
+    """Shared machinery for the unified builder, its multi-word readouts and
+    the references."""
 
     def __init__(self, params: ArchParams, table: DataTable, words: int = 1,
                  sequential: bool = False):
@@ -250,6 +257,15 @@ class _Assembler:
             ops.append((SWAP, (r.inp, r.t)))
         return ops
 
+    def _status_chain_ops(self, bits: tuple[int, ...]) -> list[Op]:
+        """Copy address bit ``bits[j]`` into every level-j status register
+        along a CNOT chain: the bit into router 0, then router to router."""
+        ops: list[Op] = []
+        for level, bit in enumerate(bits):
+            chain = [bit] + [self.router(level, pos).t for pos in range(1 << level)]
+            ops += [(CNOT, pair) for pair in zip(chain, chain[1:])]
+        return ops
+
     def _diffusion_ops(self, w: int) -> list[Op]:
         """Copy the routed marker into every node of the activated CNOT tree."""
         p = self.p
@@ -288,9 +304,7 @@ class _Assembler:
         ops: list[Op] = []
         for j in range(self.p.lam):
             ops.append((CNOT, (self._cell_source(j, w), self.cells[w][j])))
-            nodes = [self.cells[w][j]] + self.hubs[j]
-            for h in range(1, len(nodes)):
-                ops.append((CNOT, (nodes[(h - 1) // 2], nodes[h])))
+            ops += _heap_fanout_ops([self.cells[w][j]] + self.hubs[j])
         return ops
 
     def _load_ops(self, rep: int, w: int) -> list[Op]:
@@ -339,10 +353,6 @@ class _Assembler:
             for w in range(self.words):
                 b.emit_ops(self._status_route_ops(self.addr[p.d + j], j, w))
 
-    def _fanout_marker_ops(self) -> list[Op]:
-        regs = (self.q,) + self.q_copies
-        return [(CNOT, (regs[(w - 1) // 2], regs[w])) for w in range(1, self.words)]
-
     def stage2(self) -> None:
         b, p = self.b, self.p
         b.stage = Stage.II
@@ -350,7 +360,7 @@ class _Assembler:
         sweep = _LinearRouterSweep(b, prefix, self.ancs, self.q)
         # the fan-out and each word's route-and-diffuse segment are the same
         # in every repetition; only the data-masked loads differ
-        fan = self._fanout_marker_ops()
+        fan = _heap_fanout_ops((self.q,) + self.q_copies)
         segs = [self._marker_route_ops(w) + self._diffusion_ops(w)
                 for w in range(self.words)]
         for rep in range(p.repetitions):
@@ -401,32 +411,20 @@ def build_unified_lookup(params: ArchParams, table: DataTable) -> Circuit:
     return _Assembler(params, table).build("tree")
 
 
-def build_multi_bit_parallel(params: ArchParams, table: DataTable) -> Circuit:
-    """b copies of the routing structure sharing one set of linear routers."""
-    if params.readout != Readout.PARALLEL:
-        raise InvalidParamsError("params.readout must be ParallelMultiBit")
-    if params.b == 1:
-        return _Assembler(params, table).build("tree")
-    circ = _Assembler(params, table, words=params.b).build("multi_parallel")
-    return circ
-
-
-def build_multi_bit_sequential(params: ArchParams, table: DataTable) -> Circuit:
-    """One routing structure, b Stage-III passes through a deeper CNOT tree."""
-    if params.readout != Readout.SEQUENTIAL:
-        raise InvalidParamsError("params.readout must be SequentialMultiBit")
-    if params.b == 1:
-        return _Assembler(params, table).build("tree")
-    return _Assembler(params, table, sequential=True).build("multi_sequential")
-
-
 def build_lookup(params: ArchParams, table: DataTable) -> Circuit:
-    """Dispatch on the readout mode."""
+    """The lookup circuit for any (readout, b); the one builder entry point.
+
+    A single-bit word (b = 1, in any readout) is :func:`build_unified_lookup`.
+    A multi-bit word reads out in parallel through b copies of the routing
+    structure that share one set of linear routers (family
+    ``multi_parallel``), or sequentially through one routing structure with
+    a deeper CNOT tree and b Stage-III passes (``multi_sequential``).
+    """
+    if params.b == 1 or params.readout == Readout.SINGLE_BIT:
+        return build_unified_lookup(params, table)
     if params.readout == Readout.PARALLEL:
-        return build_multi_bit_parallel(params, table)
-    if params.readout == Readout.SEQUENTIAL:
-        return build_multi_bit_sequential(params, table)
-    return build_unified_lookup(params, table)
+        return _Assembler(params, table, words=params.b).build("multi_parallel")
+    return _Assembler(params, table, sequential=True).build("multi_sequential")
 
 
 def build_uncompute(circuit: Circuit) -> Circuit:
@@ -490,10 +488,7 @@ def _reference_fan_out(N: int, table: DataTable) -> Circuit:
     b = asm.b
     n = params.n
     b.stage = Stage.I
-    for j in range(n):
-        b.emit(CNOT, asm.addr[j], asm.router(j, 0).t)
-        for pos in range(1, 1 << j):
-            b.emit(CNOT, asm.router(j, pos - 1).t, asm.router(j, pos).t)
+    b.emit_ops(asm._status_chain_ops(asm.addr))
     b.stage = Stage.II
     route = asm._route_to_inputs_ops(n - 1, 0) + asm._layer_ops(n - 1, 0)
     b.emit_ops(route)
@@ -508,24 +503,22 @@ def _reference_fan_out(N: int, table: DataTable) -> Circuit:
     return b.build()
 
 
-def _reference_select_swap(N: int, table: DataTable, lam: int | None = None) -> Circuit:
-    """SELECT-SWAP: linear routers load lambda-wide rows, a fan-out tree of
-    CSWAP routers swaps the addressed cell out."""
+def _reference_select_swap(N: int, table: DataTable) -> Circuit:
+    """SELECT-SWAP: linear routers load lambda-wide rows, lambda = 2^ceil(n/2),
+    and a fan-out tree of CSWAP routers swaps the addressed cell out."""
     n = N.bit_length() - 1
-    if lam is None:
-        lam = 1 << ((n + 1) // 2)
+    lam = 1 << ((n + 1) // 2)
     params = derive_params(N, lam, 1)
     asm = _Assembler(params, table)
     b = asm.b
-    d, D = params.d, params.tree_depth
+    d = params.d
     nodes = b.new_register("select_nodes", Role.CNOT_NODE, lam)
     b.stage = Stage.II
     sweep = _LinearRouterSweep(b, asm.addr[:d], asm.ancs, asm.q)
+    fan = [(CNOT, (asm.q, nodes[0]))] + _heap_fanout_ops(nodes)
     for rep in range(params.repetitions):
         b.rep = rep
         sweep.advance(address_bits(rep, d) if d else ())
-        fan = [(CNOT, (asm.q, nodes[0]))]
-        fan += [(CNOT, (nodes[(j - 1) // 2], nodes[j])) for j in range(1, lam)]
         b.emit_ops(fan)
         for j in range(lam):
             if table.bit(lam * rep + j, 0):
@@ -534,10 +527,7 @@ def _reference_select_swap(N: int, table: DataTable, lam: int | None = None) -> 
     sweep.advance(None)
     b.rep = 0
     b.stage = Stage.III
-    for j in range(D):
-        b.emit(CNOT, asm.addr[d + j], asm.router(j, 0).t)
-        for pos in range(1, 1 << j):
-            b.emit(CNOT, asm.router(j, pos - 1).t, asm.router(j, pos).t)
+    b.emit_ops(asm._status_chain_ops(asm.addr[d:]))
     b.emit_ops(reversed(asm._route_to_cells_ops(0)))
     b.emit(CNOT, asm.inputs[0], asm.bus[0])
     b.meta["family"] = "select_swap"
@@ -545,14 +535,13 @@ def _reference_select_swap(N: int, table: DataTable, lam: int | None = None) -> 
     return b.build()
 
 
-def build_reference(kind: ReferenceKind | str, N: int, table: DataTable,
-                    lam: int | None = None) -> Circuit:
+def build_reference(kind: ReferenceKind | str, N: int, table: DataTable) -> Circuit:
     kind = ReferenceKind(kind)
     if kind == ReferenceKind.BUCKET_BRIGADE:
         return _reference_bucket_brigade(N, table)
     if kind == ReferenceKind.FAN_OUT:
         return _reference_fan_out(N, table)
-    return _reference_select_swap(N, table, lam)
+    return _reference_select_swap(N, table)
 
 
 # -- standalone primitives (unit-testable operations) -------------------------
@@ -587,8 +576,7 @@ def build_cnot_tree(gamma: int, optimized: bool = True) -> Circuit:
     b = CircuitBuilder()
     if optimized:
         leaves = b.new_register("leaves", Role.CNOT_NODE, gamma)
-        for j in range(1, gamma):
-            b.emit(CNOT, leaves[(j - 1) // 2], leaves[j])
+        b.emit_ops(_heap_fanout_ops(leaves))
         b.registers["root"] = (leaves[0],)
     else:
         depth = gamma.bit_length() - 1

@@ -144,20 +144,15 @@ def _budgeted_terms(n: float, d: float, dp: float, k: float) -> dict[str, float]
     return {"eps_q": coeff}
 
 
-def budgeted_infidelity(params: ArchParams, rates: ErrorRates,
-                        k: float | None = None) -> FidelityBreakdown:
-    """Infidelity with the first k router levels granted free long-range ops.
+def budgeted_infidelity(params: ArchParams, rates: ErrorRates) -> FidelityBreakdown:
+    """Infidelity with the first ``params.k`` router levels granted free
+    long-range ops (a k that :func:`derive_params` checked lies in [0, n-d]).
 
     Below k the remaining long-range operations ride GHZ chains, so the
     eps_L terms are replaced by explicit eps_Q coefficients; all other error
     terms carry over unchanged.
     """
-    if k is None:
-        k = params.k
-    n, d = params.n, params.d
-    if not 0 <= k <= n - d:
-        raise KOutOfRangeError(f"k must lie in [0, n-d] = [0, {n - d}], got {k}")
-    return budgeted_infidelity_at(n, d, params.d_prime, k, rates)
+    return budgeted_infidelity_at(params.n, params.d, params.d_prime, params.k, rates)
 
 
 def budgeted_infidelity_at(n: float, d: float, dp: float, k: float,

@@ -225,7 +225,7 @@ class CircuitBuilder:
 
     def __init__(self, params: ArchParams | None = None, table: DataTable | None = None):
         self.qubits: list[QubitInfo] = []
-        self.gates: list[Row] = []
+        self.rows: list[Row] = []
         self.registers: dict[str, tuple[int, ...]] = {}
         self.routers: dict[tuple[int, int, int], RouterIds] = {}
         self.meta: dict = {}
@@ -259,7 +259,7 @@ class CircuitBuilder:
         """Append ``(kind, qubits)`` ops in order, each on the first layer
         after every operand's previous gate, tagged with the current stage
         and repetition. A repeated operand is a ValueError."""
-        frontier, append = self._frontier, self.gates.append
+        frontier, append = self._frontier, self.rows.append
         stage, rep = self.stage, self.rep
         for kind, qubits in ops:
             n = len(qubits)
@@ -302,7 +302,7 @@ class CircuitBuilder:
 
     def build(self) -> Circuit:
         return Circuit(
-            qubits=tuple(self.qubits), rows=tuple(self.gates), params=self.params,
+            qubits=tuple(self.qubits), rows=tuple(self.rows), params=self.params,
             table=self.table, registers=self.registers, routers=self.routers,
             meta=self.meta,
         )
@@ -318,9 +318,14 @@ _CHUNK_LINES = 4096
 
 def gate_lines(circuit: Circuit,
                link_by_gate: dict[int, "object"] | None = None) -> Iterator[str]:
-    """The gate list of :func:`export_gate_list` in chunks of at most
-    ``_CHUNK_LINES`` newline-terminated lines; an empty circuit gives one
-    empty line."""
+    """The gate list, one gate per line:
+    ``LAYER <k> STAGE <s> <KIND> <qubit ids> [len=<m>]``.
+
+    When a link classification is supplied, flagged SWAP/CNOT gates are
+    renamed to their long-range kinds and annotated with the path length.
+    Yields chunks of at most ``_CHUNK_LINES`` newline-terminated lines; an
+    empty circuit gives one empty line.
+    """
     rows = circuit.rows
     if not rows:
         yield "\n"
@@ -360,12 +365,3 @@ def gate_lines(circuit: Circuit,
                 append(f"LAYER {text[layer]} STAGE {stage} {kind._value_} "
                        f"{' '.join([text[q] for q in qubits])}\n")
         yield "".join(lines)
-
-
-def export_gate_list(circuit: Circuit, link_by_gate: dict[int, "object"] | None = None) -> str:
-    """One gate per line: ``LAYER <k> STAGE <s> <KIND> <qubit ids> [len=<m>]``.
-
-    When a link classification is supplied, flagged SWAP/CNOT gates are
-    renamed to their long-range kinds and annotated with the path length.
-    """
-    return "".join(gate_lines(circuit, link_by_gate))

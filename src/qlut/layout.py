@@ -122,9 +122,10 @@ class _Placer:
         raise PlacementOverflowError(f"no free cell near {first} for qubit {qubit}")
 
 
-def _up_ladder(xy: tuple[int, int], tries: int = 24) -> list[tuple[int, int]]:
+def _up_ladder(xy: tuple[int, int]) -> list[tuple[int, int]]:
+    """``xy`` and the 23 cells above it, bottom up."""
     x, y = xy
-    return [(x, y + k) for k in range(tries)]
+    return [(x, y + k) for k in range(24)]
 
 
 def _select_offsets() -> Iterator[tuple[int, int]]:

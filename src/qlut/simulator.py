@@ -14,11 +14,11 @@ Every analysis asks one question, answered by one query pass,
 output planes from ``_query_planes``) under its own faults, and the pass
 reports the lanes whose measured (address, word) differs from the table.
 ``monte_carlo_infidelity`` runs the faulty trials of each block of trials
-through it, each with its own flip masks; ``containment_experiment``,
-``first_order_infidelity``, ``harmful_weight_by_rate`` and
-``lookup_correct`` run their (site, address) queries through it site-major
-under one Pauli (``_query_passes``), each pass holding whole address
-groups, whose planes are made once per call. The exhaustive analyses first
+through it as one pass, each with its own flip masks;
+``containment_experiment``, ``first_order_infidelity``,
+``harmful_weight_by_rate`` and ``lookup_correct`` run their (site, address)
+queries through it site-major under one Pauli (``_query_passes``), each
+pass holding whole address groups, whose planes are made once per call. The exhaustive analyses first
 collapse equivalent single faults (``_fault_classes``): a Pauli acts as at
 the next gate on its qubit, and on a basis query Y measures as X and Z as
 no fault, so one X per distinct (next-gate slot, qubit) class and one
@@ -28,9 +28,10 @@ InvalidParamsError), the superposition check flags every basis-benign X or
 Y, whose own lane keeps its register but misses its ideal output (the gates
 are a permutation), so that lane matches no ideal output; and a Z iff its
 qubit's fault-free bit b varies over the addresses. One traced fault-free
-pass over all N addresses (``_z_trace``), run once per circuit and kept on
-it, reads b before every gate and after the last: every Z verdict and the
-register check. The basis verdicts and first-order counts are per call.
+query pass over all N addresses (``_z_trace``), run once per circuit and
+kept on it, reads b before every gate and after the last: every Z verdict
+and the register check. The basis verdicts and first-order counts are per
+call.
 ``run_basis`` (one lane) is the plain state-propagation entry point.
 
 One function, ``_site_table``, makes the fault sites, as numpy arrays read
@@ -66,10 +67,10 @@ from .params import ErrorRates, address_bits
 _PAULIS = ("X", "Y", "Z")
 _PAULI_MASKS = {"X": (1, 0, 0), "Y": (0, 1, 0), "Z": (0, 0, 1)}
 
-#: lanes one pass carries: a Monte Carlo pass at most this many trials, an
-#: exhaustive pass as many whole address groups as fit (at least one), so
-#: the planes of a pass (and its memory) do not grow with the number of
-#: injections or trials an analysis asks for
+#: lanes one exhaustive pass carries: as many whole address groups as fit
+#: (at least one), so the planes of a pass (and its memory) do not grow with
+#: the number of injections an analysis asks for. A Monte Carlo pass carries
+#: the faulty trials of one block, at most ``_BLOCK`` <= _MAX_LANES lanes.
 _MAX_LANES = 1 << 14
 
 #: per slot, (qubit, X-mask, Y-mask, Z-mask) faults applied before that gate
@@ -399,15 +400,17 @@ def _query_planes(circuit: Circuit, addresses: np.ndarray) -> list[int]:
 
 def _query_lanes(circuit: Circuit, lanes: int, want: list[int],
                  masks: dict[tuple[int, int], int] | None = None,
-                 pauli: str = "X") -> tuple[int, list[int], int, int]:
+                 pauli: str = "X",
+                 trace: list[bool] | None = None) -> tuple[int, list[int], int, int]:
     """Run ``lanes`` basis queries given as :func:`_query_planes`; the one
     query pass.
 
     ``masks[slot, qubit]`` marks the lanes that get ``pauli`` on that qubit
-    before gate ``slot``. Returns (wrong, planes, lo, hi): ``wrong`` marks
-    the lanes whose measured (address, word) differs from their query's
-    address and table word, and the rest is :func:`run_lanes`' state after
-    the pass.
+    before gate ``slot``; ``trace`` goes to :func:`run_lanes`. Returns
+    (wrong, planes, lo, hi): ``wrong`` marks the lanes whose measured
+    (address, word) differs from their query's address and table word (or
+    only their address, when ``want`` holds only the address planes), and
+    the rest is :func:`run_lanes`' state after the pass.
     """
     address, bus = circuit.reg("address"), circuit.reg("bus")
     planes = [0] * circuit.n_qubits
@@ -417,7 +420,7 @@ def _query_lanes(circuit: Circuit, lanes: int, want: list[int],
     faults: LaneFaults = {}
     for (slot, q), hit in (masks or {}).items():
         faults.setdefault(slot, []).append((q, x and hit, y and hit, z and hit))
-    lo, hi = run_lanes(circuit, planes, lanes, faults)
+    lo, hi = run_lanes(circuit, planes, lanes, faults, trace)
     wrong = 0
     for q, plane in zip(address + bus, want):
         wrong |= planes[q] ^ plane
@@ -429,7 +432,7 @@ def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: i
     """Trials block x _BLOCK + [lo, hi) of the stream: (addresses, ok, events).
 
     The whole block is drawn (:func:`_block_draws`); the range's trials with
-    a bit flip run as the lanes of passes of at most ``_MAX_LANES``. Only bit
+    a bit flip run as the lanes of one pass. Only bit
     flips change a basis query's measured (address, word), so a lane's faults
     are one X mask per (slot, qubit): the XOR of its X and Y hits there, as
     two flips in one trial cancel. Z hits and the phase are not tracked.
@@ -447,18 +450,13 @@ def _run_block(circuit: Circuit, table: _SiteTable, seed: int, block: int, lo: i
     ok = np.ones(hi - lo, dtype=bool)
     flip = pauli != 2
     faulty, lane = np.unique(trial[flip], return_inverse=True)
-    flip_slot, flip_qubit = slot[flip], qubit[flip]
-    for first in range(0, len(faulty), _MAX_LANES):
-        lane_trials = faulty[first:first + _MAX_LANES]
-        lanes = len(lane_trials)
-        a, b = np.searchsorted(lane, (first, first + lanes))
+    if len(faulty):
         flips: dict[tuple[int, int], int] = {}
-        for s, q, i in zip(flip_slot[a:b].tolist(), flip_qubit[a:b].tolist(),
-                           (lane[a:b] - first).tolist()):
+        for s, q, i in zip(slot[flip].tolist(), qubit[flip].tolist(), lane.tolist()):
             flips[s, q] = flips.get((s, q), 0) ^ 1 << i
-        wrong, *_ = _query_lanes(circuit, lanes, _query_planes(circuit, addresses[lane_trials]),
+        wrong, *_ = _query_lanes(circuit, len(faulty), _query_planes(circuit, addresses[faulty]),
                                  flips)
-        ok[lane_trials] = _lane_bits(wrong, lanes) == 0
+        ok[faulty] = _lane_bits(wrong, len(faulty)) == 0
     events = None
     if with_events:
         events = [[] for _ in range(hi - lo)]
@@ -662,21 +660,18 @@ class ContainmentReport:
 
 
 def _z_trace(circuit: Circuit) -> tuple[np.ndarray, np.ndarray] | None:
-    """A traced fault-free pass (``run_lanes``) over all N addresses.
+    """A traced fault-free query pass (``_query_lanes``) over all N addresses.
 
     None if it changes the address register, else (codes, harmful) per
     stop, ascending by the code qubit * (len(gates) + 1) + slot (slot
     len(gates): after the last gate): whether the qubit's bit there varies.
     """
     N, G, view = circuit.params.N, len(circuit.rows), circuit.gate_arrays
-    address = circuit.reg("address")
-    want = _lane_planes(np.arange(N), len(address), True)
-    planes = [0] * circuit.n_qubits
-    for q, plane in zip(address, want):
-        planes[q] = plane
     trace: list[bool] = []
-    run_lanes(circuit, planes, N, trace=trace)
-    if any(planes[q] != plane for q, plane in zip(address, want)):
+    # given only the address planes, ``wrong`` is the register check
+    wrong, *_ = _query_lanes(circuit, N, _lane_planes(np.arange(N), len(circuit.reg("address")),
+                                                      True), trace=trace)
+    if wrong:
         return None
     codes = np.concatenate([view.qubit * (G + 1) + np.repeat(np.arange(G), view.arity),
                             np.arange(circuit.n_qubits) * (G + 1) + G])

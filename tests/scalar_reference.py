@@ -349,7 +349,7 @@ class ScalarCircuitBuilder(CircuitBuilder):
         layer = max(self._frontier[q] for q in qubits)
         for q in qubits:
             self._frontier[q] = layer + 1
-        self.gates.append(Gate(kind, tuple(qubits), layer, self.stage, self.rep))
+        self.rows.append(Gate(kind, tuple(qubits), layer, self.stage, self.rep))
 
     def emit_ops(self, ops) -> None:
         for kind, qubits in ops:
@@ -360,7 +360,7 @@ class ScalarCircuitBuilder(CircuitBuilder):
             layer = max(self._frontier[q] for q in g.qubits)
             for q in g.qubits:
                 self._frontier[q] = layer + 1
-            self.gates.append(Gate(g.kind, g.qubits, layer, g.stage, g.rep))
+            self.rows.append(Gate(g.kind, g.qubits, layer, g.stage, g.rep))
 
 
 class ScalarAssembler(builders._Assembler):
@@ -438,7 +438,8 @@ class ScalarAssembler(builders._Assembler):
         for rep in range(p.repetitions):
             b.rep = rep
             sweep.advance(address_bits(rep, p.d) if p.d else ())
-            fan = self._fanout_marker_ops()
+            regs = (self.q,) + self.q_copies
+            fan = [(GateKind.CNOT, (regs[(w - 1) // 2], regs[w])) for w in range(1, self.words)]
             b.emit_ops(fan)
             for w in range(self.words):
                 seg = self._marker_route_ops(w) + self._diffusion_ops(w)

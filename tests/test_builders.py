@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,9 +11,8 @@ from conftest import (
 )
 from dense_oracle import basis_state, overlap, run_dense
 from qlut.builders import (
-    ReferenceKind, build_cnot_tree, build_cswap_router, build_multi_bit_parallel,
-    build_multi_bit_sequential, build_reference, build_lookup, build_uncompute,
-    build_unified_lookup,
+    ReferenceKind, build_cnot_tree, build_cswap_router, build_reference, build_lookup,
+    build_uncompute, build_unified_lookup,
 )
 from qlut.ir import GateKind, Role, Stage
 from qlut.params import DataTable, Readout, derive_params
@@ -215,7 +215,7 @@ def test_stage2_repetition_count(rng):
 def test_parallel_readout(N, lam, gamma, b, rng):
     params = derive_params(N, lam, gamma, b=b, readout=Readout.PARALLEL)
     table = random_table(rng, N, b=b)
-    circ = build_multi_bit_parallel(params, table)
+    circ = build_lookup(params, table)
     _check_lookup(circ, table, b=b)
 
 
@@ -223,7 +223,7 @@ def test_parallel_readout(N, lam, gamma, b, rng):
 def test_sequential_readout(N, lam, gamma, b, rng):
     params = derive_params(N, lam, gamma, b=b, readout=Readout.SEQUENTIAL)
     table = random_table(rng, N, b=b)
-    circ = build_multi_bit_sequential(params, table)
+    circ = build_lookup(params, table)
     _check_lookup(circ, table, b=b)
 
 
@@ -257,8 +257,8 @@ def test_multi_word_lookup_matches_the_table(shape, data):
 def test_multibit_b1_degenerates_to_single_bit(rng):
     table = random_table(rng, 8)
     base = build_unified_lookup(derive_params(8, 4, 2), table)
-    par = build_multi_bit_parallel(derive_params(8, 4, 2, readout=Readout.PARALLEL), table)
-    seq = build_multi_bit_sequential(derive_params(8, 4, 2, readout=Readout.SEQUENTIAL), table)
+    par = build_lookup(derive_params(8, 4, 2, readout=Readout.PARALLEL), table)
+    seq = build_lookup(derive_params(8, 4, 2, readout=Readout.SEQUENTIAL), table)
     assert gate_multiset(par) == gate_multiset(base)
     assert gate_multiset(seq) == gate_multiset(base)
 
@@ -282,11 +282,10 @@ def test_uncompute_restores_all_ancilla(N, lam, gamma, rng):
 
 
 def test_uncompute_multibit(rng):
-    for build, mode in [(build_multi_bit_parallel, Readout.PARALLEL),
-                        (build_multi_bit_sequential, Readout.SEQUENTIAL)]:
+    for mode in (Readout.PARALLEL, Readout.SEQUENTIAL):
         params = derive_params(8, 4, 2, b=2, readout=mode)
         table = random_table(rng, 8, b=2)
-        circ = build_uncompute(build(params, table))
+        circ = build_uncompute(build_lookup(params, table))
         addr_reg, bus_reg = circ.reg("address"), circ.reg("bus")
         clean_mask = sum(1 << q for q in range(circ.n_qubits)
                          if q not in addr_reg and q not in bus_reg)
@@ -335,6 +334,64 @@ def test_reference_toy_model_shape(rng):
     circ = build_reference("BucketBrigade", 2, table)
     assert (0, 0, 0) in circ.routers
     assert circ.n_qubits == 1 + 1 + 1 + 1 + 4 + 2  # addr, input, bus, q, router, cells
+
+
+def _pin_table(N: int, b: int = 1) -> DataTable:
+    """The CLI's default table: word a is (a * 2654435761 >> 7) mod 2^b."""
+    return DataTable(tuple((a * 2654435761 >> 7) % (1 << b) for a in range(N)), b)
+
+
+def _pin_text(circ) -> str:
+    """Every row (kind, qubits, layer, stage, rep) and then every qubit's
+    (role, level, pos, word), one per line."""
+    return "".join(
+        [f"{k.value} {' '.join(map(str, qs))} {layer} {stage} {rep}\n"
+         for k, qs, layer, stage, rep in circ.rows]
+        + [f"{q.role.value} {q.level} {q.pos} {q.word}\n" for q in circ.qubits])
+
+
+def _uncompute_pin_params():
+    """Every (lambda, gamma) with N <= 16, single-bit and b = 2 in both
+    multi-word readouts."""
+    for N in (1, 2, 4, 8, 16):
+        for i in range(N.bit_length()):
+            for j in range(i + 1):
+                yield derive_params(N, 1 << i, 1 << j)
+                for readout in (Readout.PARALLEL, Readout.SEQUENTIAL):
+                    yield derive_params(N, 1 << i, 1 << j, b=2, readout=readout)
+
+
+#: SHA-256 of the joined ``_pin_text`` of each group's circuits, as the
+#: builders emitted them before their fan-out and status-chain op lists were
+#: shared: the references for N = 2..256, the CNOT trees for gamma = 1..16,
+#: the router in both forms and the uncompute of every N <= 16 lookup
+PINNED = {
+    "BucketBrigade": (lambda: [build_reference("BucketBrigade", 1 << n, _pin_table(1 << n))
+                               for n in range(1, 9)],
+                      "8be49d009b2cfd4fef87d64ef49862dfb9525b9adbdbbba50131acc127723223"),
+    "FanOut": (lambda: [build_reference("FanOut", 1 << n, _pin_table(1 << n))
+                        for n in range(1, 9)],
+               "89ff5cf14cc6e88dea143a1f5fbb97e2f2a2fc9641b5989832eddd425a861001"),
+    "SelectSwap": (lambda: [build_reference("SelectSwap", 1 << n, _pin_table(1 << n))
+                            for n in range(1, 9)],
+                   "4697fce33ca97b4524d99e1d8896ea8bd954190877d8031a78c233b3e69a836d"),
+    "cnot-tree-optimized": (lambda: [build_cnot_tree(1 << g) for g in range(5)],
+                            "997f9b752c9c5d9139d111a691f7d2bc5c463af43f33f97dc2b9b06dc165a569"),
+    "cnot-tree-literal": (lambda: [build_cnot_tree(1 << g, optimized=False) for g in range(5)],
+                          "00bd03112f8e291b61349946f9fe7eb35428889b22ba95170a8e5ded8578643d"),
+    "cswap-router": (lambda: [build_cswap_router(), build_cswap_router(merged=True)],
+                     "893c2e58dc50a6b285f100dfab42d8c066553195027ff5ee3a5b475d0f5eebf8"),
+    "uncompute": (lambda: [build_uncompute(build_lookup(p, _pin_table(p.N, p.b)))
+                           for p in _uncompute_pin_params()],
+                  "5770f7914d142ec52d041b41b58a0606a83c90f210662b0e6072374548eeac21"),
+}
+
+
+@pytest.mark.parametrize("group", sorted(PINNED))
+def test_reference_and_primitive_gate_lists_match_pinned_digests(group):
+    build, want = PINNED[group]
+    got = hashlib.sha256("".join(map(_pin_text, build())).encode()).hexdigest()
+    assert got == want, group
 
 
 # -- structural invariants ---------------------------------------------------------

@@ -425,6 +425,43 @@ def test_export_layout_links_equal_classify_links(tmp_path, shape):
                             for link in links]
 
 
+#: the export's long-range kinds, folded back into the kinds they rename
+_LOCAL_KIND = {"LongRangeCNOT": "CNOT", "LongRangeSWAP": "SWAP"}
+
+
+@pytest.mark.parametrize("shape", _small_shapes(), ids=lambda s: "/".join(map(str, s)))
+def test_subcommands_agree_on_one_instance(tmp_path, capsys, shape):
+    # report, export-gates and export-layout of one config, at every budget
+    # k, give one set of links and one gate list. The report's queryDepth
+    # (Circuit.depth: the last gate's layer + 1) is left out: on some shapes
+    # it is below the deepest exported LAYER + 1
+    N, lam, gamma = shape
+    words = [a * 5 // 3 % 2 for a in range(N)]
+    gates, layout = str(tmp_path / "gates.txt"), str(tmp_path / "l")
+    for k in range(lam.bit_length()):
+        cfg = _write_config(tmp_path, params={"N": N, "lambda": lam, "gamma": gamma,
+                                              "longRangeBudgetK": k}, table=words)
+        assert main(["report", "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert main(["export-gates", "--config", cfg, "--out", gates]) == 0
+        assert main(["export-layout", "--config", cfg, "--out", layout]) == 0
+        with open(gates, encoding="utf-8") as fh:
+            lines = [line.split() for line in fh]
+        with open(layout + "_links.csv", newline="", encoding="utf-8") as fh:
+            links = list(csv.DictReader(fh))
+        lengths = [int(t[-1][len("len="):]) for t in lines if t[-1].startswith("len=")]
+        assert report["layout"]["longRangeLinks"] == len(lengths) == len(links), k
+        assert (report["layout"]["maxLinkLength"] == max(lengths, default=0)
+                == max((int(link["m"]) for link in links), default=0)), k
+        kinds = {}
+        for t in lines:
+            kind = _LOCAL_KIND.get(t[4], t[4])
+            kinds[kind] = kinds.get(kind, 0) + 1
+        assert report["exactCounts"]["gateHistogram"] == kinds, k
+        qubits = [int(q) for t in lines for q in t[5:] if q.isdigit()]
+        assert max(qubits) < report["exactCounts"]["qubitCount"], k
+
+
 def test_simulate_deterministic_bytes(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,7 +7,7 @@ import pytest
 from conftest import random_table
 from qlut import costs
 from qlut.builders import build_unified_lookup
-from qlut.errors import DegenerateInputError, KOutOfRangeError
+from qlut.errors import DegenerateInputError
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.resources import count_resources
 
@@ -126,7 +126,7 @@ def test_parallel_vs_sequential_regression():
 def test_budgeted_k0_matches_printed_branch():
     for n, d, dp in [(8, 4, 2), (12, 6, 3), (10, 5, 5), (16, 8, 4), (6, 3, 3)]:
         p = derive_params(1 << n, 1 << (n - d), 1 << (n - d - dp))
-        got = costs.budgeted_infidelity(p, GENERIC, k=0).terms["eps_q"]
+        got = costs.budgeted_infidelity(p, GENERIC).terms["eps_q"]
         lam = 2.0 ** (n - d)
         gam = 2.0 ** (n - d - dp)
         N = 2.0 ** n
@@ -134,7 +134,7 @@ def test_budgeted_k0_matches_printed_branch():
         assert got == pytest.approx(want)
         # non-long-range structure carries over from the general expression
         gen = costs.general_infidelity(p, GENERIC).terms
-        bud = costs.budgeted_infidelity(p, GENERIC, k=0).terms
+        bud = costs.budgeted_infidelity(p, GENERIC).terms
         for key in ("eps_s", "eps_i", "eps_c", "eps_cc", "eps_cs"):
             assert bud[key] == gen[key]
 
@@ -145,14 +145,6 @@ def test_budgeted_branch_boundary_continuity():
         below = costs._budgeted_terms(n, d, dp, dp)["eps_q"]
         above = costs._budgeted_terms(n, d, dp, dp + 1e-9)["eps_q"]
         assert 0.5 <= below / above <= 2.0, (n, d, dp, below / above)
-
-
-def test_budgeted_k_out_of_range():
-    p = derive_params(16, 4, 2)
-    with pytest.raises(KOutOfRangeError):
-        costs.budgeted_infidelity(p, GENERIC, k=5)
-    with pytest.raises(KOutOfRangeError):
-        costs.budgeted_infidelity(p, GENERIC, k=-1)
 
 
 def test_budgeted_all_to_all_regime_polylog():

@@ -19,7 +19,7 @@ import scalar_reference
 from conftest import build_linear_router_round, lam_gamma_grid, random_table, workloads
 from qlut import builders, ir
 from qlut.errors import PlacementOverflowError
-from qlut.ir import CircuitBuilder, GateKind, Role, Stage, export_gate_list
+from qlut.ir import CircuitBuilder, GateKind, Role, Stage, gate_lines
 from qlut.layout import GridPlacement, build_schedule, classify_links, place_htree
 from qlut.params import DataTable, Readout, derive_params
 from test_bench_digests import SHAPES as BENCH_SHAPES
@@ -63,9 +63,9 @@ def _assert_same_instance(fast, ref):
             for depth in (False, True):
                 want = scalar_reference.build_schedule(ref, ref_by_gate, depth)
                 _assert_same_schedule(build_schedule(fast, by_gate, depth), want)
-            assert (export_gate_list(fast, by_gate)
+            assert ("".join(gate_lines(fast, by_gate))
                     == scalar_reference.export_gate_list(ref, ref_by_gate))
-    assert export_gate_list(fast) == scalar_reference.export_gate_list(ref)
+    assert "".join(gate_lines(fast)) == scalar_reference.export_gate_list(ref)
     assert (builders.build_uncompute(fast).gates
             == scalar_reference.build(builders.build_uncompute, ref).gates)
 
@@ -179,7 +179,7 @@ def test_random_gates_match_per_gate_reference(data):
         for level in levels:
             b.new_qubit(Role.ROUTER_INPUT, level)
         b.emit_ops(ops)
-    assert fast.gates == ref.gates
+    assert fast.rows == ref.rows
     circuit = fast.build()
     placement = GridPlacement(coords=dict(enumerate(cells)), bounds=(4, 4))
     for k in (0, 1, 2):
@@ -187,7 +187,7 @@ def test_random_gates_match_per_gate_reference(data):
         ref_links, ref_by_gate = scalar_reference.classify_links(circuit, placement, k)
         assert links == ref_links
         assert list(by_gate.items()) == list(ref_by_gate.items())
-        assert (export_gate_list(circuit, by_gate)
+        assert ("".join(gate_lines(circuit, by_gate))
                 == scalar_reference.export_gate_list(circuit, ref_by_gate))
 
 
@@ -259,4 +259,4 @@ def test_repeated_operand_raises(qubits):
             b.new_qubit(Role.INPUT)
         with pytest.raises(ValueError, match="duplicate operand"):
             emit(b)
-        assert b.gates == []
+        assert b.rows == []

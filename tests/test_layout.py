@@ -272,11 +272,11 @@ def test_unified_layout_places_and_classifies():
 
 
 def test_multiword_layout_rejected():
-    from qlut.builders import build_multi_bit_parallel
+    from qlut.builders import build_lookup
     from qlut.params import Readout
     rng = np.random.default_rng(17)
     params = derive_params(8, 4, 2, b=2, readout=Readout.PARALLEL)
-    circ = build_multi_bit_parallel(params, random_table(rng, 8, b=2))
+    circ = build_lookup(params, random_table(rng, 8, b=2))
     with pytest.raises(InvalidParamsError):
         place_htree(circ)
 

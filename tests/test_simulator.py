@@ -259,7 +259,7 @@ def test_cnot_router_pauli_propagation():
     c2 = b.new_qubit(Role.CNOT_NODE, 1, 1)
     b.emit(GateKind.CNOT, parent, c1)
     b.emit(GateKind.CNOT, parent, c2)
-    slot = len(b.gates)
+    slot = len(b.rows)
     b.emit(GateKind.CNOT, parent, c2)
     b.emit(GateKind.CNOT, parent, c1)
     circ = b.build()
@@ -468,9 +468,9 @@ def test_lane_passes_hold_one_address_group_at_five_lanes(monkeypatch):
     sent = []
     query_lanes = simulator._query_lanes
 
-    def counting(circuit, lanes, want, masks=None, pauli="X"):
+    def counting(circuit, lanes, want, masks=None, pauli="X", trace=None):
         sent.append(lanes)
-        return query_lanes(circuit, lanes, want, masks, pauli)
+        return query_lanes(circuit, lanes, want, masks, pauli, trace)
 
     monkeypatch.setattr(simulator, "_query_lanes", counting)
     _assert_lanes_match_reference(circ, 6, sites, locations[::25])
@@ -486,22 +486,16 @@ def _classes_of(circ, sites):
 
 @pytest.fixture
 def sent(monkeypatch):
-    """The (Pauli, lanes) of every query pass the test runs, in order, and
-    ("trace", lanes) for every traced fault-free pass."""
+    """The (Pauli, lanes) of every query pass the test runs, in order, with
+    ("trace", lanes) for a traced fault-free pass."""
     passes = []
-    query_lanes, run_lanes = simulator._query_lanes, simulator.run_lanes
+    query_lanes = simulator._query_lanes
 
-    def counting(circuit, lanes, want, masks=None, pauli="X"):
-        passes.append((pauli, lanes))
-        return query_lanes(circuit, lanes, want, masks, pauli)
-
-    def tracing(circuit, planes, lanes, faults=None, trace=None):
-        if trace is not None:
-            passes.append(("trace", lanes))
-        return run_lanes(circuit, planes, lanes, faults, trace)
+    def counting(circuit, lanes, want, masks=None, pauli="X", trace=None):
+        passes.append(("trace" if trace is not None else pauli, lanes))
+        return query_lanes(circuit, lanes, want, masks, pauli, trace)
 
     monkeypatch.setattr(simulator, "_query_lanes", counting)
-    monkeypatch.setattr(simulator, "run_lanes", tracing)
     return passes
 
 
@@ -1069,9 +1063,8 @@ def _assert_stream_matches_reference(circ, rates, by_gate, trials, seed):
 @pytest.mark.parametrize("shape", _lane_shapes(),
                          ids=lambda s: "-".join(str(getattr(v, "value", v)) for v in s))
 def test_monte_carlo_lanes_match_per_trial_reference(shape, data):
-    # high rates put several hits on one (slot, qubit) in a trial; a small
-    # _MAX_LANES splits a block's faulty trials into several passes and a
-    # small _BLOCK a run into several blocks
+    # high rates put several hits on one (slot, qubit) in a trial, and a
+    # small _BLOCK splits a run into several blocks
     circ, by_gate = _lane_circuit(shape, data)
     rates = ErrorRates(**{key: data.draw(st.floats(0.02, 0.3), label=key) for key in
                           ("eps_i", "eps_q", "eps_s", "eps_cs", "eps_c", "eps_cc", "eps_f")})
@@ -1080,11 +1073,15 @@ def test_monte_carlo_lanes_match_per_trial_reference(shape, data):
         scalar_reference.location_table(circ, rates, by_gate)
     trials = data.draw(st.integers(1, 24), label="trials")
     seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    max_lanes = data.draw(st.integers(1, 9), label="max lanes")
     block = data.draw(st.integers(1, 9), label="block")
-    with mock.patch.object(simulator, "_MAX_LANES", max_lanes), \
-            mock.patch.object(simulator, "_BLOCK", block):
+    with mock.patch.object(simulator, "_BLOCK", block):
         _assert_stream_matches_reference(circ, rates, by_gate, trials, seed)
+
+
+def test_a_block_of_trials_fits_in_one_pass():
+    # _run_block runs a block's faulty trials as the lanes of one pass, which
+    # the lane cap of the exhaustive passes must not undercut
+    assert simulator._BLOCK <= simulator._MAX_LANES
 
 
 def test_monte_carlo_stream_matches_reference_across_a_full_block():
