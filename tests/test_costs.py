@@ -7,7 +7,7 @@ import pytest
 from conftest import random_table
 from qlut import costs
 from qlut.builders import build_unified_lookup
-from qlut.errors import DegenerateInputError
+from qlut.errors import DegenerateInputError, KOutOfRangeError
 from qlut.params import DataTable, ErrorRates, Readout, derive_params
 from qlut.resources import count_resources
 
@@ -145,6 +145,17 @@ def test_budgeted_branch_boundary_continuity():
         below = costs._budgeted_terms(n, d, dp, dp)["eps_q"]
         above = costs._budgeted_terms(n, d, dp, dp + 1e-9)["eps_q"]
         assert 0.5 <= below / above <= 2.0, (n, d, dp, below / above)
+
+
+def test_budgeted_k_out_of_range():
+    # derive_params is the one range check of k: a budget outside [0, n-d]
+    # never reaches costs.budgeted_infidelity, which reads params.k as given
+    for k in (5, -1):
+        with pytest.raises(KOutOfRangeError):
+            costs.budgeted_infidelity(derive_params(16, 4, 2, k=k), GENERIC)
+    for k in (0, 2):  # both ends of [0, n-d] are accepted
+        p = derive_params(16, 4, 2, k=k)
+        assert costs.budgeted_infidelity(p, GENERIC).terms["eps_q"] > 0
 
 
 def test_budgeted_all_to_all_regime_polylog():
